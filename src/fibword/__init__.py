@@ -17,7 +17,6 @@ from .catalan import (
     catalan_table,
     fib_word_at_catalan,
     limit_function_g,
-    records_to_csv,
     table_expr,
 )
 from .density import (
@@ -30,8 +29,6 @@ from .density import (
     integral_density,
     letter_density_curve,
     ratio_curve,
-    samples_to_csv,
-    samples_to_json,
     triangle_ratio,
 )
 from .fibonacci import (
@@ -53,10 +50,9 @@ from .fibonacci import (
     k_fib_ratio,
     nth_symbol,
 )
-from .fuzzy import FuzzyWord, fuzzy_concat, fuzzy_fib_word, fuzzy_to_json, word_membership
+from .fuzzy import FuzzyWord, fuzzy_concat, fuzzy_fib_word, word_membership
 from .palindromes import (
     PalindromeReport,
-    density_table_to_csv,
     is_numeric_palindrome,
     is_palindrome,
     pal_density_table,
@@ -69,7 +65,6 @@ from .squarefree import (
     DELTA_MORPHISM,
     THUE_MORSE_MORPHISM,
     BoundRow,
-    bound_table_to_csv,
     brandenburg_table,
     delta_decode,
     delta_encode,

@@ -10,7 +10,6 @@ normalized form g(n) converges to 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,29 +66,6 @@ def catalan_table(n_max: int) -> list[CatalanRecord]:
     if not 1 <= n_max <= 200:
         raise ValueError("n_max must be between 1 and 200")
     return [catalan_record(n) for n in range(1, n_max + 1)]
-
-
-def records_to_csv(records: list[CatalanRecord]) -> str:
-    """CSV with header `n,c_n,table_expr,g_n` (g_n as an exact fraction)."""
-    lines = ["n,c_n,table_expr,g_n"]
-    for r in records:
-        lines.append(f"{r.n},{r.c_n},{r.table_expr},{r.g_n}")
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records: list[CatalanRecord]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "c_n": r.c_n,
-            "table_expr": r.table_expr,
-            "g_numerator": r.g_n.numerator,
-            "g_denominator": r.g_n.denominator,
-            "g": float(r.g_n),
-        }
-        for r in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def fib_word_at_catalan(n: int) -> Word:

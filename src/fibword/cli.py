@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every command writes a deterministic report (text, CSV, or JSON) to stdout
-or to --out.  Exit codes: 0 success, 2 usage error, 3 domain/guard error,
+Every command returns one Report; main renders it as text, CSV, or JSON to
+stdout or to --out.  Output is deterministic.  Exit codes: 0 success,
+2 usage error, 3 domain/guard error or an --out path that cannot be written,
 1 verification mismatch.
 """
 
@@ -9,51 +10,43 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import oracle
-from .catalan import catalan_table, records_to_csv, records_to_json
+from . import verify
+from .catalan import catalan_table
 from .density import (
-    IntegralParams,
-    count_occurrences,
-    density,
-    integral_density,
-    letter_density_curve,
-    ratio_curve,
-    samples_to_csv,
-    samples_to_json,
+    DensitySample, IntegralParams, density, integral_density, letter_density_curve, ratio_curve
 )
-from .fibonacci import (
-    DEFAULT_SEEDS,
-    REFERENCE_SEEDS,
-    FibSeeds,
-    fib_word,
-    infinite_prefix,
-    nth_symbol,
-)
-from .fuzzy import fuzzy_fib_word, fuzzy_to_json, word_membership
-from .palindromes import (
-    _pal_factor_strings_scan,
-    _Eertree,
-    density_table_to_csv,
-    pal_density_table,
-    palindrome_report,
-    sp_count,
-)
-from .squarefree import (
-    bound_table_to_csv,
-    brandenburg_table,
-    delta_decode,
-    delta_encode,
-    enumerate_square_free,
-)
-from .words import AB, ABC, BINARY, Alphabet, Word, distinct_factors
+from .fibonacci import DEFAULT_SEEDS, REFERENCE_SEEDS, FibSeeds, fib_word, infinite_prefix
+from .fuzzy import fuzzy_fib_word, word_membership
+from .palindromes import pal_density_table, palindrome_report, sp_count
+from .squarefree import brandenburg_table, enumerate_square_free
+from .words import AB, ABC, BINARY, Alphabet, Word
 
 
 class UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command's output in every format, and its exit code.  ``payload``
+    is the JSON value (a dict prints compact, a list with indent 2); ``csv``
+    and ``text`` are lines.  A form that is None prints the text lines."""
+
+    payload: dict | list | None
+    csv: list[str] | None
+    text: list[str]
+    code: int = 0
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json" and self.payload is not None:
+            indent = 2 if isinstance(self.payload, list) else None
+            return json.dumps(self.payload, indent=indent) + "\n"
+        lines = self.csv if fmt == "csv" and self.csv is not None else self.text
+        return "\n".join(lines) + "\n"
 
 
 def _parse_word(text: str) -> Word:
@@ -71,7 +64,12 @@ def _parse_seeds(raw: str) -> FibSeeds:
     return FibSeeds(Word(BINARY, parts[0]), Word(BINARY, parts[1]))
 
 
-def _cmd_generate(args: argparse.Namespace) -> str:
+def _count(sample: DensitySample) -> int:
+    # Occurrences behind a density sample: value = count / n exactly.
+    return int(sample.value * sample.n)
+
+
+def _cmd_generate(args: argparse.Namespace) -> Report:
     if (args.n is None) == (args.length is None):
         raise UsageError("generate needs exactly one of --n or --length")
     if args.n is not None:
@@ -79,191 +77,131 @@ def _cmd_generate(args: argparse.Namespace) -> str:
         word = fib_word(args.n, seeds)
     else:
         word = infinite_prefix(args.length)
-    if args.format == "json":
-        return json.dumps({"word": word.text, "length": len(word)}) + "\n"
-    if args.format == "csv":
-        return f"word\n{word.text}\n"
-    return word.text + "\n"
+    return Report({"word": word.text, "length": len(word)}, ["word", word.text], [word.text])
 
 
-def _cmd_density(args: argparse.Namespace) -> str:
+def _cmd_density(args: argparse.Namespace) -> Report:
     integral_flags = (args.a, args.b, args.k, args.tau)
     if args.pattern is not None:
         if any(v is not None for v in integral_flags):
             raise UsageError("choose either --pattern/--prefix or --a/--b/--k/--tau")
         if args.prefix is None:
             raise UsageError("--pattern needs --prefix")
-        pattern = Word(BINARY, args.pattern)
-        sample = density(pattern, args.prefix)
-        count = int(sample.value * sample.n)
-        dens = sample.value_real
-        if args.format == "json":
-            return json.dumps({"count": count, "n": args.prefix, "density": dens}) + "\n"
-        if args.format == "csv":
-            return f"pattern,count,n,density\n{pattern.text},{count},{args.prefix},{dens!r}\n"
-        return (
-            f"pattern: {pattern.text}\n"
-            f"n: {args.prefix}\ncount: {count}\ndensity: {dens!r}\n"
+        pattern, n = Word(BINARY, args.pattern), args.prefix
+        sample = density(pattern, n)
+        count, dens = _count(sample), sample.value_real
+        return Report(
+            {"count": count, "n": n, "density": dens},
+            ["pattern,count,n,density", f"{pattern.text},{count},{n},{dens!r}"],
+            [f"pattern: {pattern.text}", f"n: {n}", f"count: {count}", f"density: {dens!r}"],
         )
     if any(v is None for v in integral_flags):
         raise UsageError("density needs --pattern/--prefix or all of --a/--b/--k/--tau")
-    params = IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau)
-    result = integral_density(params)
-    if args.format == "json":
-        return (
-            json.dumps(
-                {
-                    "quadrature": result.quadrature,
-                    "closed_form": result.closed_form,
-                    "quadrature_error": result.quadrature_error,
-                }
-            )
-            + "\n"
-        )
-    if args.format == "csv":
-        return (
-            "quadrature,closed_form,quadrature_error\n"
-            f"{result.quadrature!r},{result.closed_form!r},{result.quadrature_error!r}\n"
-        )
-    return (
-        f"quadrature: {result.quadrature!r}\n"
-        f"closed_form: {result.closed_form!r}\n"
-        f"quadrature_error: {result.quadrature_error!r}\n"
+    values = asdict(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau)))
+    return Report(
+        values,
+        [",".join(values), ",".join(repr(v) for v in values.values())],
+        [f"{name}: {v!r}" for name, v in values.items()],
     )
 
 
-def _cmd_curve(args: argparse.Namespace) -> str:
+def _cmd_curve(args: argparse.Namespace) -> Report:
     if args.kind == "ratio":
         samples = ratio_curve(args.n_max)
     else:
         samples = letter_density_curve(args.letter, args.n_max)
-    if args.format == "json":
-        return samples_to_json(samples)
-    if args.format == "csv":
-        return samples_to_csv(samples)
-    lines = [f"{s.n} {s.value} {s.value_real!r}" for s in samples]
-    return "\n".join(lines) + "\n"
+    return Report(
+        [
+            {"n": s.n, "numerator": s.value.numerator, "denominator": s.value.denominator,
+             "value": s.value_real}
+            for s in samples
+        ],
+        ["n,value"] + [f"{s.n},{s.value_real!r}" for s in samples],
+        [f"{s.n} {s.value} {s.value_real!r}" for s in samples],
+    )
 
 
-def _cmd_palindromes(args: argparse.Namespace) -> str:
+def _cmd_palindromes(args: argparse.Namespace) -> Report:
     if (args.pattern is None) == (args.prefix is None):
         raise UsageError("palindromes needs --pattern or (--prefix and --length)")
     if args.pattern is not None:
-        report = palindrome_report(_parse_word(args.pattern))
-        factors = [f.text for f in report.pal_factors]
-        if args.format == "json":
-            return (
-                json.dumps(
-                    {
-                        "word": report.word.text,
-                        "pal_factors": factors,
-                        "p_count": report.p_count,
-                        "sp_count": report.sp_count,
-                    }
-                )
-                + "\n"
-            )
-        if args.format == "csv":
-            return "factor\n" + "\n".join(factors) + "\n"
-        return (
-            f"word: {report.word.text}\n"
-            f"pal_factors: {' '.join(factors)}\n"
-            f"p_count: {report.p_count}\nsp_count: {report.sp_count}\n"
+        r = palindrome_report(_parse_word(args.pattern))
+        word, factors = r.word.text, [f.text for f in r.pal_factors]
+        return Report(
+            {"word": word, "pal_factors": factors, "p_count": r.p_count, "sp_count": r.sp_count},
+            ["factor", *(factors or [""])],  # no factors still prints one empty row
+            [f"word: {word}", f"pal_factors: {' '.join(factors)}",
+             f"p_count: {r.p_count}", f"sp_count: {r.sp_count}"],
         )
     if args.length is None:
         raise UsageError("--prefix needs --length")
     table = pal_density_table(args.prefix, args.length)
-    if args.format == "json":
-        payload = [
-            {
-                "palindrome": w.text,
-                "count": int(s.value * s.n),
-                "n": s.n,
-                "density": s.value_real,
-            }
-            for w, s in table.items()
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if args.format == "csv":
-        return density_table_to_csv(table)
-    lines = [
-        f"{w.text} count={int(s.value * s.n)} n={s.n} density={s.value_real!r}"
-        for w, s in table.items()
-    ]
-    return "\n".join(lines) + "\n"
+    rows = [(w.text, _count(s), s.n, s.value_real) for w, s in table.items()]
+    return Report(
+        [{"palindrome": p, "count": c, "n": n, "density": d} for p, c, n, d in rows],
+        ["palindrome,count,n,density"] + [f"{p},{c},{n},{d!r}" for p, c, n, d in rows],
+        [f"{p} count={c} n={n} density={d!r}" for p, c, n, d in rows],
+    )
 
 
-def _cmd_scattered(args: argparse.Namespace) -> str:
+def _cmd_scattered(args: argparse.Namespace) -> Report:
     word = _parse_word(args.pattern)
     count = sp_count(word)
-    if args.format == "json":
-        return json.dumps({"word": word.text, "sp_count": count}) + "\n"
-    if args.format == "csv":
-        return f"word,sp_count\n{word.text},{count}\n"
-    return f"word: {word.text}\nsp_count: {count}\n"
+    return Report(
+        {"word": word.text, "sp_count": count},
+        ["word,sp_count", f"{word.text},{count}"],
+        [f"word: {word.text}", f"sp_count: {count}"],
+    )
 
 
-def _cmd_squarefree(args: argparse.Namespace) -> str:
+def _cmd_squarefree(args: argparse.Namespace) -> Report:
     if (args.length is None) == (args.n_max is None):
         raise UsageError("squarefree needs exactly one of --length or --n-max")
     if args.length is not None:
-        words = enumerate_square_free(args.alphabet, args.length)
-        texts = [w.text for w in words]
-        if args.format == "json":
-            return json.dumps({"n": args.length, "count": len(texts), "words": texts}) + "\n"
-        if args.format == "csv":
-            return "word\n" + "\n".join(texts) + ("\n" if texts else "")
-        body = "\n".join(texts)
-        return (body + "\n" if body else "") + f"count: {len(texts)}\n"
+        texts = [w.text for w in enumerate_square_free(args.alphabet, args.length)]
+        return Report(
+            {"n": args.length, "count": len(texts), "words": texts},
+            ["word", *texts],
+            # the empty word (--length 0) gets no text line of its own
+            [t for t in texts if t] + [f"count: {len(texts)}"],
+        )
     rows = brandenburg_table(args.n_max)
-    if args.format == "json":
-        payload = [
-            {
-                "n": r.n,
-                "s_n": r.s_n,
-                "lower": r.lower,
-                "upper": r.upper,
-                "lower_holds": r.lower_holds,
-                "upper_holds": r.upper_holds,
-            }
-            for r in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if args.format == "csv":
-        return bound_table_to_csv(rows)
-    lines = [
-        f"n={r.n} s_n={r.s_n} lower={r.lower:.4f} upper={r.upper:.4f} "
-        f"lower_holds={str(r.lower_holds).lower()} upper_holds={str(r.upper_holds).lower()}"
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
+    csv, text = ["n,s_n,lower,upper,lower_holds,upper_holds"], []
+    for r in rows:
+        lo, up = str(r.lower_holds).lower(), str(r.upper_holds).lower()
+        csv.append(f"{r.n},{r.s_n},{r.lower!r},{r.upper!r},{lo},{up}")
+        text.append(
+            f"n={r.n} s_n={r.s_n} lower={r.lower:.4f} upper={r.upper:.4f} "
+            f"lower_holds={lo} upper_holds={up}"
+        )
+    return Report([asdict(r) for r in rows], csv, text)
 
 
-def _cmd_catalan(args: argparse.Namespace) -> str:
+def _cmd_catalan(args: argparse.Namespace) -> Report:
     records = catalan_table(args.n_max)
-    if args.format == "json":
-        return records_to_json(records)
-    if args.format == "csv":
-        return records_to_csv(records)
-    lines = [
-        f"n={r.n} c_n={r.c_n} table_expr={r.table_expr} g_n={r.g_n} ({float(r.g_n)!r})"
-        for r in records
-    ]
-    return "\n".join(lines) + "\n"
+    return Report(
+        [
+            {"n": r.n, "c_n": r.c_n, "table_expr": r.table_expr, "g_numerator": r.g_n.numerator,
+             "g_denominator": r.g_n.denominator, "g": float(r.g_n)}
+            for r in records
+        ],
+        ["n,c_n,table_expr,g_n"] + [f"{r.n},{r.c_n},{r.table_expr},{r.g_n}" for r in records],
+        [
+            f"n={r.n} c_n={r.c_n} table_expr={r.table_expr} g_n={r.g_n} ({float(r.g_n)!r})"
+            for r in records
+        ],
+    )
 
 
-def _cmd_fuzzy(args: argparse.Namespace) -> str:
+def _cmd_fuzzy(args: argparse.Namespace) -> Report:
     fw = fuzzy_fib_word(args.n, args.mu_a, args.mu_b)
-    if args.format == "json":
-        return fuzzy_to_json(fw)
-    if args.format == "csv":
-        lines = ["symbol,membership"]
-        lines += [f"{s},{m!r}" for s, m in zip(fw.word.text, fw.memberships)]
-        return "\n".join(lines) + "\n"
+    pairs = list(zip(fw.word.text, fw.memberships))
     degrees = " ".join(repr(m) for m in fw.memberships)
-    return (
-        f"word: {fw.word.text}\nmemberships: {degrees}\n"
-        f"membership: {word_membership(fw)!r}\n"
+    overall = word_membership(fw)
+    return Report(
+        [{"symbol": s, "membership": m} for s, m in pairs],
+        ["symbol,membership"] + [f"{s},{m!r}" for s, m in pairs],
+        [f"word: {fw.word.text}", f"memberships: {degrees}", f"membership: {overall!r}"],
     )
 
 
@@ -279,136 +217,24 @@ def _converged_ratio(tol: float = 1e-10) -> float:
         prev = cur
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> str:
+def _cmd_reproduce(args: argparse.Namespace) -> Report:
     word = fib_word(22, REFERENCE_SEEDS)
     ones = word.text.count("1")
     zeros = word.text.count("0")
     ratio = _converged_ratio()
-    if args.format == "json":
-        return (
-            json.dumps(
-                {"ones": ones, "zeros": zeros, "length": len(word), "ratio": ratio}
-            )
-            + "\n"
-        )
-    return (
-        f"ones: {ones}\nzeros: {zeros}\nlength: {len(word)}\n"
-        f"ratio: {ratio:.10f}\n"
+    return Report(
+        {"ones": ones, "zeros": zeros, "length": len(word), "ratio": ratio},
+        None,
+        [f"ones: {ones}", f"zeros: {zeros}", f"length: {len(word)}", f"ratio: {ratio:.10f}"],
     )
 
 
-def _verify_suites() -> list[tuple[str, bool, str]]:
-    from itertools import product
-
-    results = []
-    rng = random.Random(20240517)
-
-    # occurrence counting vs all-windows scan
-    bad = 0
-    total = 0
-    for tlen in range(1, 9):
-        for tb in product("01", repeat=tlen):
-            text = Word(BINARY, "".join(tb))
-            for plen in range(1, min(3, tlen) + 1):
-                for pb in product("01", repeat=plen):
-                    pattern = Word(BINARY, "".join(pb))
-                    total += 1
-                    if count_occurrences(pattern, text) != oracle.brute_count(pattern, text):
-                        bad += 1
-    for _ in range(300):
-        text = Word(BINARY, "".join(rng.choice("01") for _ in range(rng.randint(1, 64))))
-        pattern = Word(BINARY, "".join(rng.choice("01") for _ in range(rng.randint(1, 8))))
-        total += 1
-        if count_occurrences(pattern, text) != oracle.brute_count(pattern, text):
-            bad += 1
-    results.append(("occurrence-count", bad == 0, f"{total} cases, {bad} mismatches"))
-
-    # scattered-palindrome DP vs subset enumeration
-    bad = 0
-    total = 0
-    for length in range(1, 11):
-        for bits in product("01", repeat=length):
-            w = Word(BINARY, "".join(bits))
-            total += 1
-            if sp_count(w) != oracle.brute_sp_count(w):
-                bad += 1
-    results.append(("scattered-palindromes", bad == 0, f"{total} words, {bad} mismatches"))
-
-    # palindromic factor sets: scan vs eertree vs brute filter
-    bad = 0
-    total = 0
-    for _ in range(150):
-        n = rng.randint(0, 120)
-        text = "".join(rng.choice("ab") for _ in range(n))
-        scan = _pal_factor_strings_scan(text)
-        tree = _Eertree(text).factor_strings() if text else set()
-        brute = {x.text for x in oracle.brute_pal_factor_set(Word(AB, text))}
-        total += 1
-        if scan != tree or scan != brute:
-            bad += 1
-    results.append(("palindromic-factors", bad == 0, f"{total} words, {bad} mismatches"))
-
-    # square-free enumeration vs brute backtracking
-    bad = 0
-    for size in (2, 3):
-        for n in range(0, 9):
-            mine = [w.text for w in enumerate_square_free(size, n)]
-            brute = [w.text for w in oracle.brute_square_free_words(size, n)]
-            if mine != brute:
-                bad += 1
-    results.append(("square-free-enumeration", bad == 0, f"alphabets 2,3 n<=8, {bad} mismatches"))
-
-    # codec round-trip and uniqueness
-    bad = 0
-    for _ in range(200):
-        source = Word(ABC, "".join(rng.choice("abc") for _ in range(rng.randint(1, 80))))
-        image = delta_encode(source)
-        decoded = delta_decode(image)
-        preimages = oracle.delta_factorizations(image)
-        if decoded != source or preimages != [source]:
-            bad += 1
-    results.append(("codec-round-trip", bad == 0, f"200 words, {bad} mismatches"))
-
-    # integral model: quadrature vs incomplete-gamma closed form
-    bad = 0
-    total = 0
-    for k in (0.5, 1.0, 2.0, 5.0):
-        for tau in (0.5, 1.0, 2.0):
-            for a, b in ((0.0, 1.0), (0.0, 10.0), (1.0, 3.0)):
-                r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))
-                total += 1
-                scale = max(abs(r.closed_form), 1e-300)
-                if abs(r.quadrature - r.closed_form) / scale > 1e-9:
-                    bad += 1
-    results.append(("integral-dual-path", bad == 0, f"{total} grid points, {bad} mismatches"))
-
-    # direct symbol access vs generated prefix
-    text = infinite_prefix(20000).text
-    bad = sum(1 for i in range(20000) if nth_symbol(i) != text[i])
-    results.append(("symbol-access", bad == 0, f"20000 symbols, {bad} mismatches"))
-
-    # factor complexity of the infinite word: k+1 distinct factors
-    prefix = infinite_prefix(610)
-    bad = 0
-    for k in range(1, 13):
-        mine = distinct_factors(prefix, k)
-        brute = oracle.brute_factor_set(prefix, k)
-        if len(mine) != k + 1 or set(mine) != brute:
-            bad += 1
-    results.append(("factor-complexity", bad == 0, f"k<=12, {bad} mismatches"))
-
-    return results
-
-
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    results = _verify_suites()
-    lines = []
-    for name, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        lines.append(f"verify {name}: {status} ({detail})")
+def _cmd_verify(args: argparse.Namespace) -> Report:
+    results = verify._verify_suites()
+    lines = [f"verify {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
     lines.append(f"verify: {len(results) - failed}/{len(results)} suites ok")
-    return "\n".join(lines) + "\n", (1 if failed else 0)
+    return Report(None, None, lines, 1 if failed else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,16 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def common(sp: argparse.ArgumentParser, handler) -> None:
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
         sp.add_argument("--out", default=None, help="write the report to this path")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("generate", help="emit a word of the recurrence or a prefix of the infinite word")
     sp.add_argument("--n", type=int, help="index of the recurrence word")
     sp.add_argument("--seeds", help="two comma-separated seed words, e.g. 1,10")
     sp.add_argument("--length", type=int, help="emit this prefix of the infinite word instead")
-    common(sp)
-    sp.set_defaults(handler=_cmd_generate)
+    common(sp, _cmd_generate)
 
     sp = sub.add_parser("density", help="pattern density in a prefix, or the integral model")
     sp.add_argument("--pattern", help="binary pattern to count")
@@ -436,82 +262,76 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, help="integral upper bound (inf allowed)")
     sp.add_argument("--k", type=float, help="integral power exponent")
     sp.add_argument("--tau", type=float, help="integral decay constant")
-    common(sp)
-    sp.set_defaults(handler=_cmd_density)
+    common(sp, _cmd_density)
 
     sp = sub.add_parser("curve", help="ratio or letter-density series (figure data)")
     sp.add_argument("--kind", choices=("ratio", "letter"), default="ratio")
     sp.add_argument("--letter", choices=("0", "1"), default="0")
     sp.add_argument("--n-max", type=int, required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_curve)
+    common(sp, _cmd_curve)
 
     sp = sub.add_parser("palindromes", help="palindromic factor report or density table")
     sp.add_argument("--pattern", help="word to analyse")
     sp.add_argument("--prefix", type=int, help="prefix length for the density table")
     sp.add_argument("--length", type=int, help="palindrome length for the density table")
-    common(sp)
-    sp.set_defaults(handler=_cmd_palindromes)
+    common(sp, _cmd_palindromes)
 
     sp = sub.add_parser("scattered", help="distinct palindromic subsequence count")
     sp.add_argument("--pattern", required=True, help="word to analyse")
-    common(sp)
-    sp.set_defaults(handler=_cmd_scattered)
+    common(sp, _cmd_scattered)
 
     sp = sub.add_parser("squarefree", help="square-free enumeration or growth-bound table")
     sp.add_argument("--length", type=int, help="enumerate words of this length")
     sp.add_argument("--alphabet", type=int, choices=(2, 3), default=3)
     sp.add_argument("--n-max", type=int, help="emit the growth-bound table up to n")
-    common(sp)
-    sp.set_defaults(handler=_cmd_squarefree)
+    common(sp, _cmd_squarefree)
 
     sp = sub.add_parser("catalan", help="exact Catalan rows: n, C_n, C_n - 1, g(n)")
     sp.add_argument("--n-max", type=int, required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_catalan)
+    common(sp, _cmd_catalan)
 
     sp = sub.add_parser("fuzzy", help="fuzzy word with per-letter membership degrees")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mu-a", type=float, required=True)
     sp.add_argument("--mu-b", type=float, required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_fuzzy)
+    common(sp, _cmd_fuzzy)
 
     sp = sub.add_parser("reproduce-3-2", help="regenerate the published reference run (seeds 1,10, n=22)")
-    common(sp)
-    sp.set_defaults(handler=_cmd_reproduce)
+    common(sp, _cmd_reproduce)
 
     sp = sub.add_parser("verify", help="run every differential oracle suite")
-    common(sp)
-    sp.set_defaults(handler=_cmd_verify)
+    common(sp, _cmd_verify)
 
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
+def _emit(text: str, out_path: str | None) -> bool:
+    """Write text to out_path (stdout without one); False if it cannot be written."""
+    if not out_path:
         sys.stdout.write(text)
+        return True
+    try:
+        Path(out_path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
+        report = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if isinstance(result, tuple):
-        text, code = result
-    else:
-        text, code = result, 0
-    _emit(text, args.out)
-    return code
+    if not _emit(report.render(args.format), args.out):
+        return 3
+    return report.code
 
 
 if __name__ == "__main__":

@@ -9,11 +9,9 @@ asserted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from scipy.integrate import quad
 from scipy.special import gammainc
@@ -171,24 +169,3 @@ def triangle_ratio(n: int) -> float:
     if n < 1:
         raise ValueError("n must be positive")
     return math.sqrt(fib(n + 2) / fib(n))
-
-
-def samples_to_csv(samples: Iterable[DensitySample]) -> str:
-    """CSV with header `n,value` (value as a double)."""
-    lines = ["n,value"]
-    lines += [f"{s.n},{s.value_real!r}" for s in samples]
-    return "\n".join(lines) + "\n"
-
-
-def samples_to_json(samples: Iterable[DensitySample]) -> str:
-    """JSON array carrying the exact numerator/denominator and a double."""
-    payload = [
-        {
-            "n": s.n,
-            "numerator": s.value.numerator,
-            "denominator": s.value.denominator,
-            "value": s.value_real,
-        }
-        for s in samples
-    ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -7,7 +7,6 @@ membership distributes over concatenation as a min.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .words import AB, Word
@@ -62,11 +61,3 @@ def word_membership(fw: FuzzyWord) -> float:
 def fuzzy_concat(u: FuzzyWord, v: FuzzyWord) -> FuzzyWord:
     """Concatenation, keeping each symbol's degree."""
     return FuzzyWord(u.word + v.word, u.memberships + v.memberships)
-
-
-def fuzzy_to_json(fw: FuzzyWord) -> str:
-    """JSON array of {symbol, membership} pairs."""
-    payload = [
-        {"symbol": s, "membership": m} for s, m in zip(fw.word.text, fw.memberships)
-    ]
-    return json.dumps(payload, indent=2) + "\n"

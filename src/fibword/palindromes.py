@@ -211,12 +211,3 @@ def pal_density_table(prefix_len: int, length: int) -> dict[Word, DensitySample]
         count = count_occurrences(pattern, prefix)
         table[pattern] = DensitySample(prefix_len, Fraction(count, prefix_len))
     return table
-
-
-def density_table_to_csv(table: dict[Word, DensitySample]) -> str:
-    """CSV with header `palindrome,count,n,density`."""
-    lines = ["palindrome,count,n,density"]
-    for pattern, sample in table.items():
-        count = int(sample.value * sample.n)
-        lines.append(f"{pattern.text},{count},{sample.n},{sample.value_real!r}")
-    return "\n".join(lines) + "\n"

@@ -103,17 +103,6 @@ def brandenburg_table(n_max: int) -> list[BoundRow]:
     return rows
 
 
-def bound_table_to_csv(rows: list[BoundRow]) -> str:
-    """CSV with header `n,s_n,lower,upper,lower_holds,upper_holds`."""
-    lines = ["n,s_n,lower,upper,lower_holds,upper_holds"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.s_n},{r.lower!r},{r.upper!r},"
-            f"{str(r.lower_holds).lower()},{str(r.upper_holds).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def thue_morse_prefix(length: int) -> Word:
     """First `length` symbols of the Thue-Morse fixed point from 0."""
     if length < 0:

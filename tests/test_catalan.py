@@ -9,12 +9,11 @@ from fibword.catalan import (
     catalan,
     catalan_fib_ratio,
     catalan_record,
-    catalan_table,
     fib_word_at_catalan,
     limit_function_g,
-    records_to_csv,
     table_expr,
 )
+from fibword.cli import main
 from fibword.fibonacci import PHI, fib
 
 
@@ -99,9 +98,9 @@ def test_catalan_record_invariants():
         assert r.g_n == 1 + Fraction(n + 1, math.comb(2 * n, n))
 
 
-def test_records_to_csv_shape():
-    out = records_to_csv(catalan_table(4))
-    lines = out.splitlines()
+def test_records_to_csv_shape(capsys):
+    assert main(["catalan", "--n-max", "4", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,c_n,table_expr,g_n"
     assert lines[1] == "1,1,0,2"
     assert lines[4] == "4,14,13,15/14"

@@ -211,6 +211,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "n,value"
 
 
+@pytest.mark.parametrize("target", ["missing/report.csv", "."])
+def test_out_write_failure_is_exit_3(tmp_path, capsys, target):
+    path = tmp_path / target  # a missing parent directory, or a directory
+    code, out, err = run_cli(capsys, "generate", "--n", "3", "--out", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -225,10 +236,10 @@ def test_verify_runs_clean(capsys):
 
 
 def test_verify_exits_nonzero_on_mismatch(capsys, monkeypatch):
-    import fibword.cli as cli_module
+    import fibword.verify as verify_module
 
     monkeypatch.setattr(
-        cli_module, "_verify_suites", lambda: [("stub", False, "forced mismatch")]
+        verify_module, "_verify_suites", lambda: [("stub", False, "forced mismatch")]
     )
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1

@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from fibword import oracle
+from fibword.cli import main
 from fibword.density import (
-    DensitySample,
     IntegralParams,
     count_occurrences,
     density,
@@ -17,8 +17,6 @@ from fibword.density import (
     integral_density,
     letter_density_curve,
     ratio_curve,
-    samples_to_csv,
-    samples_to_json,
     triangle_ratio,
 )
 from fibword.fibonacci import PHI, fib
@@ -195,15 +193,18 @@ def test_triangle_ratio_error_shrinks():
         prev = cur
 
 
-def test_samples_to_csv_shape():
-    out = samples_to_csv([DensitySample(1, Fraction(1, 2))])
-    lines = out.splitlines()
+def test_samples_to_csv_shape(capsys):
+    # the ratio curve's sample at n = 2 is 1/2
+    assert main(["curve", "--n-max", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,value"
-    assert lines[1] == "1,0.5"
+    assert lines[2] == "2,0.5"
 
 
-def test_samples_to_json_shape():
+def test_samples_to_json_shape(capsys):
     import json
 
-    payload = json.loads(samples_to_json([DensitySample(3, Fraction(2, 3))]))
-    assert payload == [{"n": 3, "numerator": 2, "denominator": 3, "value": 2 / 3}]
+    # the ratio curve's sample at n = 3 is 2/3
+    assert main(["curve", "--n-max", "3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[2:] == [{"n": 3, "numerator": 2, "denominator": 3, "value": 2 / 3}]

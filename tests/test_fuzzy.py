@@ -5,11 +5,11 @@ import random
 
 import pytest
 
+from fibword.cli import main
 from fibword.fuzzy import (
     FuzzyWord,
     fuzzy_concat,
     fuzzy_fib_word,
-    fuzzy_to_json,
     word_membership,
 )
 from fibword.words import AB, Word
@@ -82,9 +82,9 @@ def test_membership_distributes_over_concat():
         assert word_membership(w) == min(word_membership(u), word_membership(v))
 
 
-def test_json_serialization():
-    fw = fuzzy_fib_word(2, 0.8, 0.5)
-    payload = json.loads(fuzzy_to_json(fw))
+def test_json_serialization(capsys):
+    assert main(["fuzzy", "--n", "2", "--mu-a", "0.8", "--mu-b", "0.5", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload == [
         {"symbol": "a", "membership": 0.8},
         {"symbol": "b", "membership": 0.5},

@@ -15,12 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibword import oracle
+from fibword.cli import main
 from fibword.fibonacci import fib, infinite_prefix
 from fibword.palindromes import (
     SCAN_LIMIT,
     _Eertree,
     _pal_factor_strings_scan,
-    density_table_to_csv,
     is_numeric_palindrome,
     is_palindrome,
     pal_density_table,
@@ -194,9 +194,9 @@ def test_pal_density_table_guards():
         pal_density_table(1, 2)
 
 
-def test_density_table_to_csv_shape():
-    out = density_table_to_csv(pal_density_table(13, 2))
-    lines = out.splitlines()
+def test_density_table_to_csv_shape(capsys):
+    assert main(["palindromes", "--prefix", "13", "--length", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "palindrome,count,n,density"
     assert lines[1].startswith("00,3,13,")
     assert lines[2] == "11,0,13,0.0"

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fibword import oracle
+from fibword.cli import main
 from fibword.squarefree import (
-    bound_table_to_csv,
     brandenburg_table,
     delta_decode,
     delta_encode,
@@ -124,9 +124,9 @@ def test_bound_table_recomputes_cleanly():
         assert r.upper_holds == (r.s_n <= r.upper)
 
 
-def test_bound_table_csv_shape():
-    out = bound_table_to_csv(brandenburg_table(2))
-    lines = out.splitlines()
+def test_bound_table_csv_shape(capsys):
+    assert main(["squarefree", "--n-max", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,s_n,lower,upper,lower_holds,upper_holds"
     assert lines[1].startswith("1,3,") and lines[1].endswith("false,true")
 
