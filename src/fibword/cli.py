@@ -224,13 +224,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> Report:
     ratio = _converged_ratio()
     return Report(
         {"ones": ones, "zeros": zeros, "length": len(word), "ratio": ratio},
-        None,
+        ["ones,zeros,length,ratio", f"{ones},{zeros},{len(word)},{ratio!r}"],
         [f"ones: {ones}", f"zeros: {zeros}", f"length: {len(word)}", f"ratio: {ratio:.10f}"],
     )
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
-    results = verify._verify_suites()
+    results = [(name, *suite()) for name, suite in verify.SUITES]
     lines = [f"verify {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
     lines.append(f"verify: {len(results) - failed}/{len(results)} suites ok")

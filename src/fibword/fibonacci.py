@@ -165,12 +165,7 @@ def infinite_prefix(length: int) -> Word:
         raise ValueError("prefix length must be nonnegative")
     if length > SIZE_GUARD:
         raise ValueError(f"prefix would exceed the {SIZE_GUARD}-symbol guard")
-    if length == 0:
-        return Word(BINARY, "")
-    text = "0"
-    while len(text) < length:
-        text = FIBONACCI_MORPHISM.apply_text(text)
-    return Word(BINARY, text[:length])
+    return Word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
 
 
 def _floor_mult_phi(n: int) -> int:

@@ -2,9 +2,8 @@
 
 P(w) counts distinct nonempty palindromic factors (contiguous), SP(w)
 counts distinct nonempty palindromic subsequences.  For every nonempty w,
-P(w) <= |w| <= SP(w).  Factor sets come from center expansion on short
-words and from a palindromic tree (eertree) on long ones; the two paths
-agree on their overlap range and the test suite checks that.
+P(w) <= |w| <= SP(w).  Factor sets are read off a palindromic tree
+(eertree), which is built in time linear in |w| on every word.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from typing import Optional
 from .density import DensitySample, count_occurrences
 from .fibonacci import infinite_prefix
 from .words import BINARY, Word
-
-#: Words up to this length use direct center expansion; longer ones the
-#: eertree index.
-SCAN_LIMIT = 4096
 
 #: sp_count is quadratic in |w| (time and memory), so very long inputs are
 #: refused.
@@ -50,26 +45,6 @@ class PalindromeReport:
     pal_factors: tuple[Word, ...]
     p_count: int
     sp_count: Optional[int] = None
-
-
-def _pal_factor_strings_scan(text: str) -> set[str]:
-    # Expand around every center: each palindromic factor is centered
-    # somewhere, and the expansion from that center passes through it on
-    # the way to the maximal palindrome there.
-    pals: set[str] = set()
-    n = len(text)
-    for center in range(n):
-        l, r = center, center
-        while l >= 0 and r < n and text[l] == text[r]:
-            pals.add(text[l : r + 1])
-            l -= 1
-            r += 1
-        l, r = center, center + 1
-        while l >= 0 and r < n and text[l] == text[r]:
-            pals.add(text[l : r + 1])
-            l -= 1
-            r += 1
-    return pals
 
 
 class _Eertree:
@@ -124,16 +99,10 @@ class _Eertree:
         }
 
 
-def _pal_factor_strings(text: str) -> set[str]:
-    if len(text) <= SCAN_LIMIT:
-        return _pal_factor_strings_scan(text)
-    return _Eertree(text).factor_strings()
-
-
 def pal_factors(w: Word) -> PalindromeReport:
     """Report with the set of distinct nonempty palindromic factors of w
     (lexicographic under the alphabet order) and its cardinality."""
-    strings = _pal_factor_strings(w.text)
+    strings = _Eertree(w.text).factor_strings()
     ordered = sorted(strings, key=w.alphabet.sort_key)
     factors = tuple(Word(w.alphabet, t) for t in ordered)
     return PalindromeReport(word=w, pal_factors=factors, p_count=len(factors))

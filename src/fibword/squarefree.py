@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import AB, ABC, BINARY, Alphabet, Morphism, Word
+from .words import AB, ABC, BINARY, Morphism, Word
 
 #: Thue-Morse substitution; its fixed point from 0 is overlap-free.
 THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
@@ -109,12 +109,7 @@ def thue_morse_prefix(length: int) -> Word:
         raise ValueError("prefix length must be nonnegative")
     if length > THUE_MORSE_GUARD:
         raise ValueError(f"prefix is limited to {THUE_MORSE_GUARD} symbols")
-    if length == 0:
-        return Word(BINARY, "")
-    text = "0"
-    while len(text) < length:
-        text = THUE_MORSE_MORPHISM.apply_text(text)
-    return Word(BINARY, text[:length])
+    return Word(BINARY, THUE_MORSE_MORPHISM.fixed_point_prefix("0", length))
 
 
 def _has_ones_run(z: int, k: int) -> bool:
@@ -127,43 +122,24 @@ def _has_ones_run(z: int, k: int) -> bool:
     return z != 0
 
 
-def _has_overlap_bits(text: str, alphabet: Alphabet) -> bool:
-    # Two-letter fast path: an overlap with period p is p+1 consecutive
-    # agreement positions between the word and its shift by p.
-    one = alphabet.symbols[1]
-    n = len(text)
-    x = 0
-    for i, c in enumerate(text):
-        if c == one:
-            x |= 1 << i
-    for p in range(1, (n - 1) // 2 + 1):
-        mask = (1 << (n - p)) - 1
-        agree = ~(x ^ (x >> p)) & mask
-        if _has_ones_run(agree, p + 1):
-            return True
-    return False
-
-
-def _has_overlap_scan(text: str) -> bool:
-    n = len(text)
-    for p in range(1, (n - 1) // 2 + 1):
-        run = 0
-        for i in range(n - p):
-            if text[i] == text[i + p]:
-                run += 1
-                if run > p:
-                    return True
-            else:
-                run = 0
-    return False
-
-
 def has_overlap(w: Word) -> bool:
     """True iff w contains a factor a·x·a·x·a (a a symbol, x possibly
     empty), i.e. a factor of length 2p+1 with period p."""
-    if len(w.alphabet) == 2:
-        return _has_overlap_bits(w.text, w.alphabet)
-    return _has_overlap_scan(w.text)
+    # Bit i of a letter's mask is set iff symbol i is that letter, so bit i
+    # of `agree` is set iff symbols i and i+p are equal; an overlap with
+    # period p is p+1 consecutive agreement positions.
+    rev = w.text[::-1]  # int(..., 2) reads the first character as the top bit
+    masks = []
+    for c in w.alphabet:
+        bits = rev.translate({ord(s): "1" if s == c else "0" for s in w.alphabet})
+        masks.append(int(bits or "0", 2))
+    for p in range(1, (len(rev) - 1) // 2 + 1):
+        agree = 0
+        for m in masks:
+            agree |= m & (m >> p)
+        if _has_ones_run(agree, p + 1):
+            return True
+    return False
 
 
 def delta_encode(b: Word) -> Word:

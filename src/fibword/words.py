@@ -173,6 +173,17 @@ class Morphism:
         """Apply the morphism to a raw symbol string (fast path)."""
         return text.translate(self._table)
 
+    def fixed_point_prefix(self, seed: str, length: int) -> str:
+        """First `length` symbols of the iterates from `seed`: the prefix of
+        the fixed point when the image of `seed` starts with `seed`."""
+        text = seed
+        while len(text) < length:
+            grown = self.apply_text(text)
+            if len(grown) == len(text):
+                raise ValueError(f"the iterates from {seed!r} stop growing")
+            text = grown
+        return text[:length]
+
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.domain:
             raise ValueError("word is not over the morphism's domain")

@@ -238,9 +238,7 @@ def test_verify_runs_clean(capsys):
 def test_verify_exits_nonzero_on_mismatch(capsys, monkeypatch):
     import fibword.verify as verify_module
 
-    monkeypatch.setattr(
-        verify_module, "_verify_suites", lambda: [("stub", False, "forced mismatch")]
-    )
+    monkeypatch.setattr(verify_module, "SUITES", [("stub", lambda: (False, "forced mismatch"))])
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "verify stub: FAIL" in out

@@ -18,9 +18,6 @@ from fibword import oracle
 from fibword.cli import main
 from fibword.fibonacci import fib, infinite_prefix
 from fibword.palindromes import (
-    SCAN_LIMIT,
-    _Eertree,
-    _pal_factor_strings_scan,
     is_numeric_palindrome,
     is_palindrome,
     pal_density_table,
@@ -129,20 +126,18 @@ def test_counting_inequality_small_exhaustive():
             assert pal_factors(w).p_count <= len(w) <= sp_count(w)
 
 
-def test_scan_and_eertree_agree():
+def test_pal_factors_match_oracle():
     rng = random.Random(17)
     for _ in range(120):
-        text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 300)))
-        assert _pal_factor_strings_scan(text) == _Eertree(text).factor_strings()
+        w = AB.word("".join(rng.choice("ab") for _ in range(rng.randint(0, 300))))
+        assert set(pal_factors(w).pal_factors) == oracle.brute_pal_factor_set(w)
 
 
-def test_pal_factors_beyond_the_scan_threshold():
-    # exercises the eertree path; prefixes of the infinite word are rich,
-    # so P(w) = |w| exactly
-    w = infinite_prefix(SCAN_LIMIT + 1000)
-    report = pal_factors(w)
-    assert report.p_count == len(w)
-    assert set(x.text for x in report.pal_factors) == _pal_factor_strings_scan(w.text)
+def test_rich_words_have_one_palindrome_per_symbol():
+    # Sturmian words are rich, so every prefix of the infinite word has
+    # exactly n distinct nonempty palindromic factors; so has a^n.
+    for w in (infinite_prefix(1000), infinite_prefix(5000), AB.word("a" * 1024)):
+        assert pal_factors(w).p_count == len(w)
 
 
 def test_palindrome_report_fills_both_counts():

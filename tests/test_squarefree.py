@@ -18,7 +18,6 @@ from fibword.squarefree import (
     square_free_count,
     thue_morse_prefix,
 )
-from fibword.squarefree import _has_overlap_scan
 from fibword.words import AB, ABC, BINARY, Word
 
 #: Ternary counts s(1)..s(12), re-derived by the oracle below and pinned.
@@ -173,11 +172,20 @@ def test_has_overlap_agrees_with_oracle():
         text = "".join(rng.choice("01") for _ in range(rng.randint(0, 50)))
         w = BINARY.word(text)
         assert has_overlap(w) == oracle.brute_overlap_scan(w)
-        assert _has_overlap_scan(text) == oracle.brute_overlap_scan(w)
     for _ in range(200):
         text = "".join(rng.choice("abc") for _ in range(rng.randint(0, 40)))
         w = ABC.word(text)
         assert has_overlap(w) == oracle.brute_overlap_scan(w)
+
+
+def test_ternary_square_free_word_has_no_overlap():
+    # first differences of Thue-Morse, -1/0/1 written a/b/c: square-free
+    t = thue_morse_prefix(1001).text
+    w = ABC.word("".join("abc"[int(y) - int(x) + 1] for x, y in zip(t, t[1:])))
+    assert len(w) == 1000 and not oracle.brute_square_scan(w)
+    assert not has_overlap(w)
+    longer = w + ABC.word("abcabca")
+    assert has_overlap(longer) and oracle.brute_overlap_scan(longer)
 
 
 def test_delta_decode_examples():

@@ -115,6 +115,16 @@ def test_morphism_requires_total_nonempty_images():
         Morphism(BINARY, BINARY, {"0": "01", "1": "0", "2": "1"})
 
 
+def test_fixed_point_prefix():
+    assert FIBONACCI_MORPHISM.fixed_point_prefix("0", 0) == ""
+    assert FIBONACCI_MORPHISM.fixed_point_prefix("0", 1) == "0"
+    assert FIBONACCI_MORPHISM.fixed_point_prefix("0", 10) == "0100101001"
+    stalls = Morphism(AB, AB, {"a": "a", "b": "ab"})
+    assert stalls.fixed_point_prefix("b", 5) == "aaaab"
+    with pytest.raises(ValueError):
+        stalls.fixed_point_prefix("a", 2)
+
+
 def test_is_factor_examples():
     assert is_factor(BINARY.word(""), BINARY.word("01"))
     assert is_factor(BINARY.word("010"), BINARY.word("0100101"))
