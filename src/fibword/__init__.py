@@ -35,12 +35,10 @@ from .fibonacci import (
     BINET_MAX_N,
     DEFAULT_SEEDS,
     FIBONACCI_MORPHISM,
-    GOLDEN,
     PHI,
     REFERENCE_SEEDS,
     SIZE_GUARD,
     FibSeeds,
-    GoldenConstants,
     fib,
     fib_binet,
     fib_word,
@@ -81,8 +79,6 @@ from .words import (
     Alphabet,
     Morphism,
     Word,
-    apply_morphism,
-    concat,
     distinct_factors,
     is_factor,
     is_scattered_subword,

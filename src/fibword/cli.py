@@ -2,8 +2,8 @@
 
 Every command returns one Report; main renders it as text, CSV, or JSON to
 stdout or to --out.  Output is deterministic.  Exit codes: 0 success,
-2 usage error, 3 domain/guard error or an --out path that cannot be written,
-1 verification mismatch.
+2 usage error, 3 domain/guard error, out of memory or an --out path that
+cannot be written, 1 verification mismatch.
 """
 
 from __future__ import annotations
@@ -323,13 +323,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
+        text = report.render(args.format)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if not _emit(report.render(args.format), args.out):
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    if not _emit(text, args.out):
         return 3
     return report.code
 

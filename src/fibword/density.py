@@ -4,7 +4,8 @@ Densities are exact rationals internally and only become doubles at the
 interface.  The ratio and letter-density curves both converge to phi - 1;
 the integral model and the exponential-sum form are exposed as
 parameterized evaluators so their limits can be inspected rather than
-asserted.
+asserted.  Only the integral model needs scipy, so it is imported there
+and every other caller starts without it.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from scipy.integrate import quad
-from scipy.special import gammainc
 
 from .fibonacci import PHI, fib, infinite_prefix
 from .words import Word, _require_same_alphabet
@@ -130,6 +128,9 @@ class IntegralResult:
 def integral_density(params: IntegralParams) -> IntegralResult:
     """Evaluate the integral model by adaptive quadrature and, separately,
     through the lower-incomplete-gamma closed form."""
+    from scipy.integrate import quad
+    from scipy.special import gammainc
+
     lam = 1.0 + 1.0 / params.tau
     if params.a == params.b:
         return IntegralResult(0.0, 0.0, 0.0)

@@ -28,17 +28,10 @@ BINET_MAX_N = 70
 FIBONACCI_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "0"})
 
 
-@dataclass(frozen=True)
-class GoldenConstants:
-    """The golden ratio and its companions at double precision."""
-
-    sqrt5: float = math.sqrt(5.0)
-    phi: float = (1.0 + math.sqrt(5.0)) / 2.0
-    psi: float = 1.0 - (1.0 + math.sqrt(5.0)) / 2.0
-
-
-GOLDEN = GoldenConstants()
-PHI = GOLDEN.phi
+#: The golden ratio at double precision; _PSI is its conjugate 1 - phi.
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_PSI = 1.0 - (1.0 + math.sqrt(5.0)) / 2.0
+_SQRT5 = math.sqrt(5.0)
 
 
 def golden_ratio_bounds(digits: int = 40) -> tuple[Fraction, Fraction]:
@@ -79,8 +72,7 @@ def fib_binet(n: int) -> float:
         raise ValueError("Fibonacci indexing starts at 1")
     if n > BINET_MAX_N:
         raise ValueError(f"n = {n} exceeds the double-precision range (n <= {BINET_MAX_N})")
-    g = GOLDEN
-    return (g.phi**n - g.psi**n) / g.sqrt5
+    return (PHI**n - _PSI**n) / _SQRT5
 
 
 def k_fib(k: int, n: int) -> int:

@@ -19,7 +19,7 @@ class Alphabet:
     enumeration in the library, so results are deterministic.
     """
 
-    __slots__ = ("symbols", "_ranks")
+    __slots__ = ("symbols", "_ranks", "_rank_table")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -32,6 +32,7 @@ class Alphabet:
                 raise ValueError(f"symbols must be single characters, got {s!r}")
         self.symbols = syms
         self._ranks = {s: i for i, s in enumerate(syms)}
+        self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -60,9 +61,10 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in {self!r}") from None
 
-    def sort_key(self, text: str) -> tuple[int, ...]:
-        """Key for sorting strings lexicographically under alphabet order."""
-        return tuple(self._ranks[c] for c in text)
+    def sort_key(self, text: str) -> str:
+        """Key for sorting strings lexicographically under alphabet order:
+        the text with each symbol replaced by the character of its rank."""
+        return text.translate(self._rank_table)
 
     def word(self, text: str = "") -> "Word":
         """Build a word over this alphabet from its string form."""
@@ -105,7 +107,9 @@ class Word:
         return self.text[key]
 
     def __add__(self, other: "Word") -> "Word":
-        return concat(self, other)
+        """Concatenation.  Length is additive and letter counts distribute."""
+        _require_same_alphabet(self, other)
+        return Word(self.alphabet, self.text + other.text)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -185,6 +189,7 @@ class Morphism:
         return text[:length]
 
     def apply(self, w: Word) -> Word:
+        """Symbolwise image concatenation, order preserved."""
         if w.alphabet != self.domain:
             raise ValueError("word is not over the morphism's domain")
         return Word(self.codomain, self.apply_text(w.text))
@@ -201,22 +206,11 @@ def _require_same_alphabet(u: Word, v: Word) -> None:
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
 
 
-def concat(u: Word, v: Word) -> Word:
-    """Concatenation u·v.  Length is additive and letter counts distribute."""
-    _require_same_alphabet(u, v)
-    return Word(u.alphabet, u.text + v.text)
-
-
 def letter_count(w: Word, symbol: str) -> int:
     """Number of positions of w holding the given symbol."""
     if symbol not in w.alphabet:
         raise ValueError(f"symbol {symbol!r} not in {w.alphabet!r}")
     return w.text.count(symbol)
-
-
-def apply_morphism(m: Morphism, w: Word) -> Word:
-    """Symbolwise image concatenation, order preserved."""
-    return m.apply(w)
 
 
 def is_factor(v: Word, x: Word) -> bool:

@@ -1,10 +1,17 @@
 """The command-line front end: outputs, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibword.cli as cli
 from fibword.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -242,3 +249,37 @@ def test_verify_exits_nonzero_on_mismatch(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "verify stub: FAIL" in out
+
+
+def test_memory_error_is_exit_3(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_generate", exhausted)
+    code, out, err = run_cli(capsys, "generate", "--n", "6")
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+_SCIPY_PROBE = """
+import io, sys, contextlib
+import fibword, fibword.cli
+for argv in (["generate", "--n", "6"], ["palindromes", "--pattern", "abaa"],
+             ["curve", "--n-max", "10"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fibword.cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy loaded outside the integral model"
+from fibword.density import IntegralParams, integral_density
+r = integral_density(IntegralParams(0, 1, 1, 1))
+assert "scipy" in sys.modules
+assert abs(r.quadrature - r.closed_form) <= 1e-9 * abs(r.closed_form), r
+"""
+
+
+def test_scipy_loads_only_for_the_integral_model():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,8 @@ import pytest
 
 from fibword.fibonacci import (
     FIBONACCI_MORPHISM,
-    GOLDEN,
+    _PSI,
+    _SQRT5,
     PHI,
     REFERENCE_SEEDS,
     FibSeeds,
@@ -88,9 +89,9 @@ def test_k_fib_ratio_converges_to_metallic_root():
 
 
 def test_golden_constants():
-    assert abs(GOLDEN.phi**2 - (GOLDEN.phi + 1)) < 1e-12
-    assert GOLDEN.psi == 1 - GOLDEN.phi
-    assert abs(GOLDEN.sqrt5**2 - 5) < 1e-12
+    assert abs(PHI**2 - (PHI + 1)) < 1e-12
+    assert _PSI == 1 - PHI
+    assert abs(_SQRT5**2 - 5) < 1e-12
 
 
 def test_golden_ratio_bounds_bracket_phi():

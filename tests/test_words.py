@@ -1,5 +1,6 @@
 """Alphabets, words, morphisms, and the factor/subsequence predicates."""
 
+import random
 from itertools import product
 
 import pytest
@@ -16,8 +17,6 @@ from fibword.words import (
     Alphabet,
     Morphism,
     Word,
-    apply_morphism,
-    concat,
     distinct_factors,
     is_factor,
     is_scattered_subword,
@@ -69,21 +68,21 @@ def test_word_slicing_and_reverse():
 
 
 def test_concat_identity_element():
-    assert concat(BINARY.word(""), BINARY.word("01")).text == "01"
+    assert (BINARY.word("") + BINARY.word("01")).text == "01"
 
 
 def test_concat_reproduces_recurrence_step():
-    assert concat(BINARY.word("01"), BINARY.word("0")).text == "010"
+    assert (BINARY.word("01") + BINARY.word("0")).text == "010"
 
 
 def test_concat_of_consecutive_words():
     # direct sequence join of the listed length-8 and length-5 words
-    assert concat(BINARY.word("01001010"), BINARY.word("01001")).text == "0100101001001"
+    assert (BINARY.word("01001010") + BINARY.word("01001")).text == "0100101001001"
 
 
 def test_concat_rejects_alphabet_mismatch():
     with pytest.raises(ValueError):
-        concat(BINARY.word("0"), AB.word("a"))
+        BINARY.word("0") + AB.word("a")
 
 
 def test_letter_count_examples():
@@ -96,14 +95,14 @@ def test_letter_count_examples():
 
 
 def test_apply_morphism_examples():
-    assert apply_morphism(FIBONACCI_MORPHISM, BINARY.word("0")).text == "01"
-    assert apply_morphism(FIBONACCI_MORPHISM, BINARY.word("010")).text == "01001"
-    assert apply_morphism(DELTA_MORPHISM, ABC.word("abc")).text == "abbaba"
+    assert FIBONACCI_MORPHISM.apply(BINARY.word("0")).text == "01"
+    assert FIBONACCI_MORPHISM.apply(BINARY.word("010")).text == "01001"
+    assert DELTA_MORPHISM.apply(ABC.word("abc")).text == "abbaba"
 
 
 def test_apply_morphism_rejects_foreign_word():
     with pytest.raises(ValueError):
-        apply_morphism(FIBONACCI_MORPHISM, AB.word("ab"))
+        FIBONACCI_MORPHISM.apply(AB.word("ab"))
 
 
 def test_morphism_requires_total_nonempty_images():
@@ -160,10 +159,20 @@ def test_distinct_factors_respects_alphabet_order():
     assert [f.text for f in distinct_factors(w, 1)] == ["1", "0"]
 
 
+@pytest.mark.parametrize("alpha", [Alphabet("ba"), Alphabet("cab")])
+def test_sort_key_orders_like_rank_tuples(alpha):
+    rng = random.Random(6)
+    texts = ["".join(rng.choices(alpha.symbols, k=rng.randint(0, 6))) for _ in range(400)]
+    texts += [t[:i] for t in texts[:100] for i in range(len(t))]  # proper prefixes
+    rng.shuffle(texts)
+    by_ranks = sorted(texts, key=lambda t: tuple(alpha.rank(c) for c in t))
+    assert sorted(texts, key=alpha.sort_key) == by_ranks
+
+
 @given(binary_texts, binary_texts)
 def test_concat_length_and_counts_are_additive(s, t):
     u, v = BINARY.word(s), BINARY.word(t)
-    w = concat(u, v)
+    w = u + v
     assert len(w) == len(u) + len(v)
     for c in "01":
         assert letter_count(w, c) == letter_count(u, c) + letter_count(v, c)
@@ -178,8 +187,8 @@ def test_length_is_sum_of_letter_counts(s):
 @given(binary_texts, binary_texts)
 def test_morphism_distributes_over_concat(s, t):
     u, v = BINARY.word(s), BINARY.word(t)
-    lhs = apply_morphism(FIBONACCI_MORPHISM, concat(u, v))
-    rhs = concat(apply_morphism(FIBONACCI_MORPHISM, u), apply_morphism(FIBONACCI_MORPHISM, v))
+    lhs = FIBONACCI_MORPHISM.apply(u + v)
+    rhs = FIBONACCI_MORPHISM.apply(u) + FIBONACCI_MORPHISM.apply(v)
     assert lhs == rhs
 
 
