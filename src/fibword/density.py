@@ -71,11 +71,13 @@ def ratio_curve(n_max: int) -> list[DensitySample]:
 
 
 def letter_density_curve(letter: str, n_max: int) -> list[DensitySample]:
-    """Samples (n, |prefix_n|_letter / n) for n = 1..n_max, exact."""
+    """Samples (n, |prefix_n|_letter / n) for n = 1..n_max <= 10**6, exact."""
     if letter not in ("0", "1"):
         raise ValueError("letter must be '0' or '1'")
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    if n_max > 10**6:
+        raise ValueError("n_max must be at most 10**6 (about 250 bytes per sample)")
     text = infinite_prefix(n_max).text
     out = []
     count = 0
@@ -92,7 +94,7 @@ class IntegralParams:
     exp(-x*(1 + 1/tau)) * x**(k-1) from a to b.
 
     a > b is allowed and flips the sign (oriented-integral convention);
-    b may be +inf.
+    b and tau may be +inf, k may not.
     """
 
     a: float
@@ -103,6 +105,8 @@ class IntegralParams:
     def __post_init__(self) -> None:
         if not (self.k > 0 and self.tau > 0):
             raise ValueError("k and tau must be positive")
+        if math.isinf(self.k):
+            raise ValueError("k must be finite")
         if not (math.isfinite(self.a) and self.a >= 0):
             raise ValueError("a must be finite and nonnegative")
         if math.isnan(self.b) or self.b < 0:

@@ -2,10 +2,10 @@
 
 Exact integers come from the recurrence (evaluated by fast doubling), the
 floating Binet form is kept separate so the two routes can be checked
-against each other.  Words are built either by the concatenation
-recurrence from a seed pair or as prefixes of the fixed point of the
-substitution 0 -> 01, 1 -> 0, and single symbols of the infinite word can
-be read off directly with exact integer arithmetic.
+against each other.  Words from any seed pair and prefixes of the fixed
+point all come from one per-letter image step of the substitution
+0 -> 01, 1 -> 0, and single symbols of the infinite word can be read off
+directly with exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -125,29 +125,22 @@ def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     """n-th word of the recurrence w_n = w_{n-1} w_{n-2} from the seeds.
 
     Under the default seeds |w_n| = F_n.  Growth past 2**31 symbols is
-    refused before any allocation happens.
+    refused before any allocation happens.  w_n = h(phi^(n-2)(0)) for n >= 2,
+    where phi = FIBONACCI_MORPHISM and h maps 1, 0 to the first, second seed.
     """
     if n < 1:
         raise ValueError("word index starts at 1")
-    la, lb = len(seeds.first), len(seeds.second)
-    length = (la, lb)[n - 1] if n <= 2 else 0
-    if n > 2:
-        a, b = la, lb
-        for _ in range(n - 2):
-            a, b = b, a + b
-            if b > SIZE_GUARD:
-                raise ValueError(f"word would exceed the {SIZE_GUARD}-symbol guard")
-        length = b
-    if length > SIZE_GUARD:
-        raise ValueError(f"word would exceed the {SIZE_GUARD}-symbol guard")
+    size, after = len(seeds.first), len(seeds.second)  # |w_1|, |w_2|
+    for _ in range(n - 1):
+        size, after = after, size + after
+        if size > SIZE_GUARD:
+            raise ValueError(f"word would exceed the {SIZE_GUARD}-symbol guard")
     if n == 1:
         return seeds.first
-    if n == 2:
-        return seeds.second
-    prev, cur = seeds.first.text, seeds.second.text
+    images = {"0": seeds.second.text, "1": seeds.first.text}
     for _ in range(n - 2):
-        prev, cur = cur, cur + prev
-    return Word(seeds.first.alphabet, cur)
+        images = FIBONACCI_MORPHISM._step(images)
+    return Word(seeds.first.alphabet, images["0"])
 
 
 def infinite_prefix(length: int) -> Word:

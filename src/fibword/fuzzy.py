@@ -2,13 +2,15 @@
 
 Degrees attach per letter (a and b each get one grade in [0, 1]) and the
 degree of a multi-symbol word is the minimum over its symbols, so
-membership distributes over concatenation as a min.
+membership distributes over concatenation as a min.  The words are
+fibonacci.fib_word over the seeds b, a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fibonacci import FibSeeds, fib_word
 from .words import AB, Word
 
 FUZZY_GUARD = 30
@@ -40,15 +42,8 @@ def fuzzy_fib_word(n: int, mu_a: float, mu_b: float) -> FuzzyWord:
         raise ValueError(f"generation is limited to n <= {FUZZY_GUARD}")
     if not (0.0 <= mu_a <= 1.0 and 0.0 <= mu_b <= 1.0):
         raise ValueError("membership degrees must lie in [0, 1]")
-    prev, cur = "b", "a"  # F(0), F(1)
-    if n == 0:
-        text = prev
-    else:
-        for _ in range(n - 1):
-            prev, cur = cur, cur + prev
-        text = cur
-    degrees = tuple(mu_a if c == "a" else mu_b for c in text)
-    return FuzzyWord(Word(AB, text), degrees)
+    word = fib_word(n + 1, FibSeeds(Word(AB, "b"), Word(AB, "a")))
+    return FuzzyWord(word, tuple(mu_a if c == "a" else mu_b for c in word.text))
 
 
 def word_membership(fw: FuzzyWord) -> float:

@@ -19,7 +19,7 @@ class Alphabet:
     enumeration in the library, so results are deterministic.
     """
 
-    __slots__ = ("symbols", "_ranks", "_rank_table")
+    __slots__ = ("symbols", "_ranks", "_rank_table", "_delete")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -33,6 +33,7 @@ class Alphabet:
         self.symbols = syms
         self._ranks = {s: i for i, s in enumerate(syms)}
         self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
+        self._delete = dict.fromkeys(map(ord, syms))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -86,9 +87,8 @@ class Word:
     def __init__(self, alphabet: Alphabet, text: str = ""):
         if not isinstance(text, str):
             text = "".join(text)
-        if text and not set(text) <= set(alphabet._ranks):
-            bad = sorted(set(text) - set(alphabet._ranks))
-            raise ValueError(f"symbols {bad!r} not in {alphabet!r}")
+        if foreign := text.translate(alphabet._delete):
+            raise ValueError(f"symbols {sorted(set(foreign))!r} not in {alphabet!r}")
         self.alphabet = alphabet
         self.text = text
 
@@ -173,26 +173,31 @@ class Morphism:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in the domain") from None
 
-    def apply_text(self, text: str) -> str:
-        """Apply the morphism to a raw symbol string (fast path)."""
-        return text.translate(self._table)
+    def _step(self, images: Mapping[str, str]) -> dict[str, str]:
+        """Map c -> h(phi^k(c)) to c -> h(phi^(k+1)(c)), the join of h(phi^k(d))
+        over the letters d of phi(c).  Every generated word comes from this step."""
+        return {c: "".join([images[d] for d in img.text]) for c, img in self.images.items()}
 
     def fixed_point_prefix(self, seed: str, length: int) -> str:
-        """First `length` symbols of the iterates from `seed`: the prefix of
-        the fixed point when the image of `seed` starts with `seed`."""
-        text = seed
-        while len(text) < length:
-            grown = self.apply_text(text)
-            if len(grown) == len(text):
+        """First `length` symbols of the iterates from the symbol `seed`: the
+        prefix of the fixed point when the image of `seed` starts with it."""
+        if self.codomain != self.domain or seed not in self.domain:
+            raise ValueError(f"cannot iterate {self!r} from {seed!r}")
+        images = {c: c for c in self.domain.symbols}
+        idle = 0  # steps without growth; len(domain) in a row mean it never grows again
+        while len(images[seed]) < length:
+            grown = self._step(images)
+            idle = idle + 1 if len(grown[seed]) == len(images[seed]) else 0
+            if idle == len(self.domain):
                 raise ValueError(f"the iterates from {seed!r} stop growing")
-            text = grown
-        return text[:length]
+            images = grown
+        return images[seed][:length]
 
     def apply(self, w: Word) -> Word:
         """Symbolwise image concatenation, order preserved."""
         if w.alphabet != self.domain:
             raise ValueError("word is not over the morphism's domain")
-        return Word(self.codomain, self.apply_text(w.text))
+        return Word(self.codomain, w.text.translate(self._table))
 
     __call__ = apply
 

@@ -53,6 +53,13 @@ def test_generate_guard_error_is_exit_3(capsys):
     assert err.count("\n") == 1
 
 
+def test_generate_far_past_the_guard_is_exit_3(capsys):
+    code, out, err = run_cli(capsys, "generate", "--n", "1000000000")
+    assert code == 3
+    assert out == ""
+    assert err == "error: word would exceed the 2147483648-symbol guard\n"
+
+
 def test_density_json_matches_contract(capsys):
     code, out, _ = run_cli(
         capsys, "density", "--pattern", "11", "--prefix", "1000", "--format", "json"
@@ -98,6 +105,15 @@ def test_density_zero_prefix_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_density_infinite_k_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "density", "--a", "0", "--b", "1", "--k", "inf", "--tau", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: k must be finite\n"
+
+
 def test_curve_csv_header(capsys):
     code, out, _ = run_cli(capsys, "curve", "--n-max", "5", "--format", "csv")
     assert code == 0
@@ -125,6 +141,13 @@ def test_curve_letter_kind(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "8,0.625"
+
+
+def test_letter_curve_past_its_guard_is_exit_3(capsys):
+    code, out, err = run_cli(capsys, "curve", "--kind", "letter", "--n-max", "100000000")
+    assert code == 3
+    assert out == ""
+    assert "10**6" in err
 
 
 def test_palindromes_report(capsys):

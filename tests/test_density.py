@@ -120,6 +120,15 @@ def test_letter_density_curve_values():
         letter_density_curve("a", 5)
 
 
+def test_letter_density_curve_guard():
+    with pytest.raises(ValueError, match="n_max must be positive"):
+        letter_density_curve("0", 0)
+    with pytest.raises(ValueError, match=r"at most 10\*\*6"):
+        letter_density_curve("0", 10**6 + 1)
+    with pytest.raises(ValueError, match=r"at most 10\*\*6"):
+        letter_density_curve("1", 10**8)
+
+
 def test_letter_density_approaches_the_golden_limit():
     curve = letter_density_curve("0", 10946)
     assert abs(curve[-1].value_real - (PHI - 1)) < 0.001
@@ -158,6 +167,15 @@ def test_integral_parameter_validation():
         IntegralParams(a=0.0, b=1.0, k=1.0, tau=-2.0)
     with pytest.raises(ValueError):
         IntegralParams(a=math.inf, b=1.0, k=1.0, tau=1.0)
+    with pytest.raises(ValueError, match="k must be finite"):
+        IntegralParams(a=0.0, b=1.0, k=math.inf, tau=1.0)
+
+
+def test_integral_admits_infinite_tau():
+    # tau = +inf gives lambda = 1: the integral of exp(-x) from 0 to 1.
+    r = integral_density(IntegralParams(a=0.0, b=1.0, k=1.0, tau=math.inf))
+    assert abs(r.closed_form - (1.0 - math.exp(-1.0))) < 1e-12
+    assert abs(r.quadrature - r.closed_form) < 1e-12
 
 
 def test_exp_sum_values():

@@ -1,6 +1,7 @@
 """Fibonacci numbers, Binet values, and the two word-construction routes."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from fibword.fibonacci import (
     _SQRT5,
     PHI,
     REFERENCE_SEEDS,
+    SIZE_GUARD,
     FibSeeds,
     fib,
     fib_binet,
@@ -121,11 +123,34 @@ def test_fib_word_recurrence_across_paths():
         assert fib_word(n) == fib_word(n - 1) + fib_word(n - 2)
 
 
+def test_fib_word_matches_recurrence_on_random_seeds():
+    rng = random.Random(7)
+    for _ in range(200):
+        first, second = ("".join(rng.choices("01", k=rng.randint(1, 4))) for _ in range(2))
+        seeds = FibSeeds(Word(BINARY, first), Word(BINARY, second))
+        words = [first, second]
+        while len(words) < 18:
+            words.append(words[-1] + words[-2])
+        for n in range(1, 19):
+            assert fib_word(n, seeds).text == words[n - 1], (first, second, n)
+
+
 def test_fib_word_guards():
     with pytest.raises(ValueError):
         fib_word(0)
     with pytest.raises(ValueError):
         fib_word(60)  # fib(60) ~ 1.5e12 symbols
+    # The smallest refused indices: F_47 > 2**31 >= F_46, and under the
+    # reference seeds |w_n| = F_(n+1).  Admitted indices near the guard
+    # would allocate gigabytes, so none is called here.
+    assert fib(47) > SIZE_GUARD >= fib(46)
+    with pytest.raises(ValueError, match="guard"):
+        fib_word(47)
+    with pytest.raises(ValueError, match="guard"):
+        fib_word(46, REFERENCE_SEEDS)
+    # The length loop stops at the guard and never reaches F_(10**9).
+    with pytest.raises(ValueError, match="guard"):
+        fib_word(10**9)
 
 
 def test_fib_word_reference_seeds():

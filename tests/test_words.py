@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fibword import oracle
 from fibword.fibonacci import FIBONACCI_MORPHISM, infinite_prefix
-from fibword.squarefree import DELTA_MORPHISM
+from fibword.squarefree import DELTA_MORPHISM, thue_morse_prefix
 from fibword.words import (
     AB,
     ABC,
@@ -33,6 +33,15 @@ def test_alphabet_rejects_bad_input():
         Alphabet("aa")
     with pytest.raises(ValueError):
         Alphabet(["ab"])
+
+
+def test_word_rejects_a_foreign_symbol_anywhere():
+    text = "01" * 50_000
+    for i in (0, len(text) // 2, len(text) - 1):
+        with pytest.raises(ValueError) as err:
+            Word(BINARY, text[:i] + "2" + text[i + 1 :])
+        assert str(err.value) == "symbols ['2'] not in Alphabet('01')"
+    assert Word(BINARY, "").text == ""
 
 
 def test_alphabet_order_is_fixed():
@@ -122,6 +131,29 @@ def test_fixed_point_prefix():
     assert stalls.fixed_point_prefix("b", 5) == "aaaab"
     with pytest.raises(ValueError):
         stalls.fixed_point_prefix("a", 2)
+    with pytest.raises(ValueError):
+        FIBONACCI_MORPHISM.fixed_point_prefix("a", 5)  # seed outside the domain
+    with pytest.raises(ValueError):
+        DELTA_MORPHISM.fixed_point_prefix("a", 5)  # codomain is not the domain
+
+
+def test_fixed_point_prefix_matches_repeated_apply():
+    # Letters grow at different rates, and the image of c keeps its length
+    # for one step (c -> b) before it grows.
+    phi = Morphism(ABC, ABC, {"a": "abc", "b": "ac", "c": "b"})
+    for seed in "abc":
+        iterates = [ABC.word(seed)]
+        while len(iterates[-1]) < 500:
+            iterates.append(phi.apply(iterates[-1]))
+        for length in range(501):
+            expected = next(w for w in iterates if len(w) >= length).text[:length]
+            assert phi.fixed_point_prefix(seed, length) == expected, (seed, length)
+
+
+def test_thue_morse_prefix_is_the_parity_of_binary_ones():
+    parity = "".join(str(bin(i).count("1") % 2) for i in range(4096))
+    for length in range(4097):
+        assert thue_morse_prefix(length).text == parity[:length]
 
 
 def test_is_factor_examples():
