@@ -16,9 +16,7 @@ from pathlib import Path
 
 from . import verify
 from .catalan import catalan_table
-from .density import (
-    DensitySample, IntegralParams, density, integral_density, letter_density_curve, ratio_curve
-)
+from .density import IntegralParams, density, integral_density, letter_density_curve, ratio_curve
 from .fibonacci import DEFAULT_SEEDS, REFERENCE_SEEDS, FibSeeds, fib_word, infinite_prefix
 from .fuzzy import fuzzy_fib_word, word_membership
 from .palindromes import pal_density_table, palindrome_report, sp_count
@@ -64,11 +62,6 @@ def _parse_seeds(raw: str) -> FibSeeds:
     return FibSeeds(Word(BINARY, parts[0]), Word(BINARY, parts[1]))
 
 
-def _count(sample: DensitySample) -> int:
-    # Occurrences behind a density sample: value = count / n exactly.
-    return int(sample.value * sample.n)
-
-
 def _cmd_generate(args: argparse.Namespace) -> Report:
     if (args.n is None) == (args.length is None):
         raise UsageError("generate needs exactly one of --n or --length")
@@ -89,7 +82,7 @@ def _cmd_density(args: argparse.Namespace) -> Report:
             raise UsageError("--pattern needs --prefix")
         pattern, n = Word(BINARY, args.pattern), args.prefix
         sample = density(pattern, n)
-        count, dens = _count(sample), sample.value_real
+        count, dens = sample.count, sample.value_real
         return Report(
             {"count": count, "n": n, "density": dens},
             ["pattern,count,n,density", f"{pattern.text},{count},{n},{dens!r}"],
@@ -136,7 +129,7 @@ def _cmd_palindromes(args: argparse.Namespace) -> Report:
     if args.length is None:
         raise UsageError("--prefix needs --length")
     table = pal_density_table(args.prefix, args.length)
-    rows = [(w.text, _count(s), s.n, s.value_real) for w, s in table.items()]
+    rows = [(w.text, s.count, s.n, s.value_real) for w, s in table.items()]
     return Report(
         [{"palindrome": p, "count": c, "n": n, "density": d} for p, c, n, d in rows],
         ["palindrome,count,n,density"] + [f"{p},{c},{n},{d!r}" for p, c, n, d in rows],
@@ -205,23 +198,13 @@ def _cmd_fuzzy(args: argparse.Namespace) -> Report:
     )
 
 
-def _converged_ratio(tol: float = 1e-10) -> float:
-    # Walk consecutive-Fibonacci ratios until they stop moving.
-    a, b = 1, 1
-    prev = a / b
-    while True:
-        a, b = b, a + b
-        cur = a / b
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> Report:
     word = fib_word(22, REFERENCE_SEEDS)
     ones = word.text.count("1")
     zeros = word.text.count("0")
-    ratio = _converged_ratio()
+    reals = [s.value_real for s in ratio_curve(60)]
+    # the first consecutive-Fibonacci ratio within 1e-10 of the one before it
+    ratio = next(cur for prev, cur in zip(reals, reals[1:]) if abs(cur - prev) < 1e-10)
     return Report(
         {"ones": ones, "zeros": zeros, "length": len(word), "ratio": ratio},
         ["ones,zeros,length,ratio", f"{ones},{zeros},{len(word)},{ratio!r}"],

@@ -1,33 +1,62 @@
 """Occurrence counting and subword densities over the infinite word.
 
 Densities are exact rationals internally and only become doubles at the
-interface.  The ratio and letter-density curves both converge to phi - 1;
-the integral model and the exponential-sum form are exposed as
-parameterized evaluators so their limits can be inspected rather than
-asserted.  Only the integral model needs scipy, so it is imported there
-and every other caller starts without it.
+interface.  Samples of counts (``density``, the letter curve and
+``pal_density_table``) hold the count and build the ``Fraction`` when it
+is read; ratio-curve samples hold it from the start.  The ratio and
+letter-density curves both converge to phi - 1; the integral model and
+the exponential-sum form are exposed as parameterized evaluators so their
+limits can be inspected rather than asserted.  Only the integral model
+needs scipy, so it is imported there and every other caller starts
+without it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .fibonacci import PHI, fib, infinite_prefix
 from .words import Word, _require_same_alphabet
 
 
-@dataclass(frozen=True)
 class DensitySample:
-    """One point of a density curve: prefix length and exact value."""
+    """One point of a density curve: prefix length ``n`` and exact ``value``,
+    given as a ``Fraction`` or as an occurrence ``count`` (value = count / n,
+    built on the first read of ``.value``; ``count`` is None otherwise).
+    Slotted and, like Word, never mutated; compares and hashes by (n, value)."""
 
-    n: int
-    value: Fraction
+    __slots__ = ("n", "count", "_value")
+
+    def __init__(self, n: int, value: Fraction | None = None, count: int | None = None):
+        if (value is None) == (count is None):
+            raise TypeError("DensitySample takes exactly one of value and count")
+        self.n, self.count, self._value = n, count, value
+
+    @property
+    def value(self) -> Fraction:
+        if self._value is None:
+            self._value = Fraction(self.count, self.n)
+        return self._value
 
     @property
     def value_real(self) -> float:
-        return float(self.value)
+        # count / n rounds correctly, exactly as float(Fraction(count, n)) does.
+        return float(self._value) if self.count is None else self.count / self.n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DensitySample):
+            return NotImplemented
+        return self.n == other.n and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.value))
+
+    def __repr__(self) -> str:
+        return f"DensitySample(n={self.n!r}, value={self.value!r})"
 
 
 def count_occurrences(pattern: Word, text: Word) -> int:
@@ -51,41 +80,37 @@ def density(pattern: Word, prefix_len: int) -> DensitySample:
     infinite word, as an exact rational."""
     if prefix_len < 1:
         raise ValueError("prefix length must be positive")
-    count = count_occurrences(pattern, infinite_prefix(prefix_len))
-    return DensitySample(prefix_len, Fraction(count, prefix_len))
+    return DensitySample(prefix_len, count=count_occurrences(pattern, infinite_prefix(prefix_len)))
 
 
 def ratio_curve(n_max: int) -> list[DensitySample]:
     """Samples (n, F_n / F_{n+1}) for n = 1..n_max, exact.
 
-    Values oscillate around and converge to phi - 1.
+    Values oscillate around and converge to phi - 1.  Each is 1 / (1 + the
+    one before), whose gcds are trivial: F_n and F_(n+1) are coprime.
     """
     if not 1 <= n_max <= 10**4:
         raise ValueError("n_max must be between 1 and 10**4")
     out = []
-    a, b = 1, 1  # F_1, F_2
+    r = Fraction(1)  # F_1 / F_2
     for n in range(1, n_max + 1):
-        out.append(DensitySample(n, Fraction(a, b)))
-        a, b = b, a + b
+        out.append(DensitySample(n, r))
+        r = 1 / (1 + r)
     return out
 
 
 def letter_density_curve(letter: str, n_max: int) -> list[DensitySample]:
-    """Samples (n, |prefix_n|_letter / n) for n = 1..n_max <= 10**6, exact."""
+    """Samples (n, |prefix_n|_letter / n) for n = 1..n_max <= 10**6, exact,
+    built from the letter counts."""
     if letter not in ("0", "1"):
         raise ValueError("letter must be '0' or '1'")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if n_max > 10**6:
-        raise ValueError("n_max must be at most 10**6 (about 250 bytes per sample)")
-    text = infinite_prefix(n_max).text
-    out = []
-    count = 0
-    for n, ch in enumerate(text, start=1):
-        if ch == letter:
-            count += 1
-        out.append(DensitySample(n, Fraction(count, n)))
-    return out
+        raise ValueError("n_max must be at most 10**6 (about 130 bytes per sample, 240 once read)")
+    counts = accumulate(map(letter.__eq__, infinite_prefix(n_max).text), initial=0)
+    next(counts)  # the initial 0, which makes every count an int
+    return list(map(DensitySample, range(1, n_max + 1), repeat(None), counts))
 
 
 @dataclass(frozen=True)
@@ -120,8 +145,8 @@ class IntegralResult:
     """Both evaluation routes of the integral model.
 
     quadrature_error is the integrator's absolute-error estimate (the
-    residual); the two values should agree to ~1e-9 relative wherever both
-    converge.
+    residual).  integral_density returns only values that agree to 1e-9
+    relative.
     """
 
     quadrature: float
@@ -131,8 +156,13 @@ class IntegralResult:
 
 def integral_density(params: IntegralParams) -> IntegralResult:
     """Evaluate the integral model by adaptive quadrature and, separately,
-    through the lower-incomplete-gamma closed form."""
-    from scipy.integrate import quad
+    through the lower-incomplete-gamma closed form.
+
+    Raises ValueError, with both values, when |quadrature - closed form|
+    exceeds 1e-9 * max(|closed form|, 1e-300); the integrator's warning is
+    not printed.
+    """
+    from scipy.integrate import IntegrationWarning, quad
     from scipy.special import gammainc
 
     lam = 1.0 + 1.0 / params.tau
@@ -144,13 +174,19 @@ def integral_density(params: IntegralParams) -> IntegralResult:
     def integrand(x: float) -> float:
         return math.exp(-lam * x) * x ** (k - 1.0)
 
-    value, residual = quad(
-        integrand, params.a, params.b, epsabs=1e-12, epsrel=1e-12, limit=400
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, residual = quad(integrand, params.a, params.b, epsabs=1e-12, epsrel=1e-12, limit=400)
 
     upper = 1.0 if math.isinf(params.b) else float(gammainc(k, lam * params.b))
     lower = float(gammainc(k, lam * params.a))
     closed = math.gamma(k) * lam ** (-k) * (upper - lower)
+    gap = abs(value - closed) / max(abs(closed), 1e-300)
+    if gap > 1e-9:
+        raise ValueError(
+            f"integral routes disagree: quadrature {value!r}, closed form {closed!r}, "
+            f"relative gap {gap:.3g} > 1e-09"
+        )
     return IntegralResult(value, closed, residual)
 
 

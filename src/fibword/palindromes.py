@@ -9,7 +9,6 @@ P(w) <= |w| <= SP(w).  Factor sets are read off a palindromic tree
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -171,12 +170,6 @@ def pal_density_table(prefix_len: int, length: int) -> dict[Word, DensitySample]
     if prefix_len < length:
         raise ValueError("prefix must be at least as long as the palindromes")
     prefix = infinite_prefix(prefix_len)
-    table: dict[Word, DensitySample] = {}
-    for bits in product("01", repeat=length):
-        text = "".join(bits)
-        if text != text[::-1]:
-            continue
-        pattern = Word(BINARY, text)
-        count = count_occurrences(pattern, prefix)
-        table[pattern] = DensitySample(prefix_len, Fraction(count, prefix_len))
-    return table
+    texts = ("".join(bits) for bits in product("01", repeat=length))
+    pals = [Word(BINARY, t) for t in texts if t == t[::-1]]
+    return {w: DensitySample(prefix_len, count=count_occurrences(w, prefix)) for w in pals}

@@ -82,18 +82,15 @@ def _codec_round_trip() -> tuple[bool, str]:
 
 
 def _integral_dual_path() -> tuple[bool, str]:
-    # integral model: quadrature vs incomplete-gamma closed form
+    # integral model: integral_density refuses quadrature and closed form that disagree
+    grid = list(product((0.5, 1.0, 2.0, 5.0), (0.5, 1.0, 2.0), ((0.0, 1.0), (0.0, 10.0), (1.0, 3.0))))
     bad = 0
-    total = 0
-    for k in (0.5, 1.0, 2.0, 5.0):
-        for tau in (0.5, 1.0, 2.0):
-            for a, b in ((0.0, 1.0), (0.0, 10.0), (1.0, 3.0)):
-                r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))
-                total += 1
-                scale = max(abs(r.closed_form), 1e-300)
-                if abs(r.quadrature - r.closed_form) / scale > 1e-9:
-                    bad += 1
-    return bad == 0, f"{total} grid points, {bad} mismatches"
+    for k, tau, (a, b) in grid:
+        try:
+            integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))
+        except ValueError:
+            bad += 1
+    return bad == 0, f"{len(grid)} grid points, {bad} mismatches"
 
 
 def _symbol_access() -> tuple[bool, str]:

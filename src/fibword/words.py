@@ -166,13 +166,6 @@ class Morphism:
         self.images = resolved
         self._table = {ord(sym): img.text for sym, img in resolved.items()}
 
-    def image(self, symbol: str) -> Word:
-        """Image of a single domain symbol."""
-        try:
-            return self.images[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in the domain") from None
-
     def _step(self, images: Mapping[str, str]) -> dict[str, str]:
         """Map c -> h(phi^k(c)) to c -> h(phi^(k+1)(c)), the join of h(phi^k(d))
         over the letters d of phi(c).  Every generated word comes from this step."""

@@ -114,6 +114,21 @@ def test_density_infinite_k_is_domain_error(capsys):
     assert err == "error: k must be finite\n"
 
 
+def test_density_routes_that_disagree_are_exit_3():
+    # A subprocess, so that a warning printed by the integrator would show on stderr.
+    argv = ["density", "--a", "0", "--b", "1", "--k", "1e-300", "--tau", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibword.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: integral routes disagree: quadrature 282.959")
+    assert "closed form 9.999999999999999e+299" in proc.stderr
+    assert proc.stderr.endswith(" > 1e-09\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_curve_csv_header(capsys):
     code, out, _ = run_cli(capsys, "curve", "--n-max", "5", "--format", "csv")
     assert code == 0

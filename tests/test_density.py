@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ import pytest
 from fibword import oracle
 from fibword.cli import main
 from fibword.density import (
+    DensitySample,
     IntegralParams,
     count_occurrences,
     density,
@@ -19,7 +21,8 @@ from fibword.density import (
     ratio_curve,
     triangle_ratio,
 )
-from fibword.fibonacci import PHI, fib
+from fibword.fibonacci import PHI, fib, infinite_prefix
+from fibword.palindromes import pal_density_table
 from fibword.words import AB, BINARY
 
 GRID = [
@@ -96,6 +99,15 @@ def test_ratio_curve_values():
         assert sample.value == Fraction(fib(sample.n), fib(sample.n + 1))
 
 
+def test_ratio_curve_is_consecutive_fibonacci_in_lowest_terms():
+    curve = ratio_curve(2000)
+    f, g = 1, 1  # F_1, F_2
+    for n, sample in enumerate(curve, start=1):
+        assert (sample.n, sample.value.numerator, sample.value.denominator) == (n, f, g)
+        assert sample.count is None
+        f, g = g, f + g
+
+
 def test_ratio_curve_alternates_around_the_limit():
     # sign of F_n/F_{n+1} - (phi - 1) via (2p+q)^2 - 5q^2
     for sample in ratio_curve(60):
@@ -118,6 +130,44 @@ def test_letter_density_curve_values():
     assert ones[-1].value == Fraction(3, 8)
     with pytest.raises(ValueError):
         letter_density_curve("a", 5)
+
+
+def test_letter_density_curve_matches_fractions_built_here():
+    text = infinite_prefix(10**4).text
+    for letter in "01":
+        count = 0
+        for n, sample in enumerate(letter_density_curve(letter, 10**4), start=1):
+            count += text[n - 1] == letter
+            exact = Fraction(count, n)
+            assert (sample.n, sample.count) == (n, count)
+            assert sample.value == exact
+            assert hash(sample.value) == hash(exact)
+            assert str(sample.value) == str(exact)
+            assert sample.value_real == float(exact)
+
+
+def test_counted_and_fraction_samples_are_one_value():
+    counted, exact = DensitySample(6, count=4), DensitySample(6, Fraction(2, 3))
+    assert counted == exact and hash(counted) == hash(exact)
+    assert (counted.count, exact.count) == (4, None)
+    assert counted.value_real == exact.value_real == 2 / 3
+    assert repr(counted) == repr(exact) == "DensitySample(n=6, value=Fraction(2, 3))"
+    assert counted != DensitySample(3, Fraction(2, 3))
+    assert len({counted, exact, DensitySample(6, count=5)}) == 2
+    with pytest.raises(TypeError):
+        DensitySample(6, Fraction(2, 3), count=4)
+    with pytest.raises(TypeError):
+        DensitySample(6)
+
+
+def test_sample_counts_match_oracle():
+    prefix = infinite_prefix(377)
+    for pattern in ("0", "1", "00", "010", "11", "000", "10010"):
+        w = BINARY.word(pattern)
+        assert density(w, 377).count == oracle.brute_count(w, prefix)
+    for length in range(1, 9):
+        for w, sample in pal_density_table(377, length).items():
+            assert sample.count == oracle.brute_count(w, prefix)
 
 
 def test_letter_density_curve_guard():
@@ -150,6 +200,19 @@ def test_integral_dual_paths_agree_on_grid():
     for k, tau, a, b in GRID:
         r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))
         assert abs(r.quadrature - r.closed_form) <= 1e-9 * abs(r.closed_form), (k, tau, a, b)
+
+
+def test_integral_refuses_routes_that_disagree():
+    # k = 1e-300 puts a pole at 0 that quadrature cannot resolve: it returns
+    # 282.96 against the closed form Gamma(k) = 1e300.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the integrator's warning must not escape
+        with pytest.raises(ValueError) as err:
+            integral_density(IntegralParams(a=0.0, b=1.0, k=1e-300, tau=1.0))
+    message = str(err.value)
+    assert message.startswith("integral routes disagree: quadrature 282.959")
+    assert "closed form 9.999999999999999e+299" in message
+    assert message.endswith("relative gap 1 > 1e-09")
 
 
 def test_integral_orientation_flips_sign():
