@@ -159,8 +159,8 @@ def integral_density(params: IntegralParams) -> IntegralResult:
     through the lower-incomplete-gamma closed form.
 
     Raises ValueError, with both values, when |quadrature - closed form|
-    exceeds 1e-9 * max(|closed form|, 1e-300); the integrator's warning is
-    not printed.
+    exceeds 1e-9 * max(|closed form|, 1e-300), and when gamma(k) or the
+    integrand overflows a float; the integrator's warning is not printed.
     """
     from scipy.integrate import IntegrationWarning, quad
     from scipy.special import gammainc
@@ -176,11 +176,20 @@ def integral_density(params: IntegralParams) -> IntegralResult:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        value, residual = quad(integrand, params.a, params.b, epsabs=1e-12, epsrel=1e-12, limit=400)
+        try:
+            value, residual = quad(integrand, params.a, params.b, epsabs=1e-12, epsrel=1e-12, limit=400)
+        except OverflowError:
+            raise ValueError(
+                f"the integrand's x ** {k - 1.0!r} overflows a float on [{params.a!r}, {params.b!r}]"
+            ) from None
 
     upper = 1.0 if math.isinf(params.b) else float(gammainc(k, lam * params.b))
     lower = float(gammainc(k, lam * params.a))
-    closed = math.gamma(k) * lam ** (-k) * (upper - lower)
+    try:
+        gamma_k = math.gamma(k)
+    except OverflowError:
+        raise ValueError(f"gamma({k!r}) overflows a float") from None
+    closed = gamma_k * lam ** (-k) * (upper - lower)
     gap = abs(value - closed) / max(abs(closed), 1e-300)
     if gap > 1e-9:
         raise ValueError(

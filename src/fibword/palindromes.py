@@ -14,10 +14,11 @@ from typing import Optional
 
 from .density import DensitySample, count_occurrences
 from .fibonacci import infinite_prefix
-from .words import BINARY, Word
+from .words import BINARY, Word, _unchecked_word
 
-#: sp_count is quadratic in |w| (time and memory), so very long inputs are
-#: refused.
+#: sp_count takes time quadratic in |w| and keeps (letters + 2) rows of |w|
+#: big integers; at the guard, a random binary word takes ~20 s and ~24 MB
+#: peak RSS (2-CPU VM, Python 3.11).  Longer inputs are refused.
 SP_COUNT_GUARD = 10**4
 
 
@@ -103,53 +104,73 @@ def pal_factors(w: Word) -> PalindromeReport:
     (lexicographic under the alphabet order) and its cardinality."""
     strings = _Eertree(w.text).factor_strings()
     ordered = sorted(strings, key=w.alphabet.sort_key)
-    factors = tuple(Word(w.alphabet, t) for t in ordered)
+    factors = tuple(_unchecked_word(w.alphabet, t) for t in ordered)
     return PalindromeReport(word=w, pal_factors=factors, p_count=len(factors))
 
 
-def _sp_count_text(s: str) -> int:
+def _sp_prefix_counts(s: str) -> list[int]:
+    """SP of every prefix of s, the empty prefix first.
+
+    Row i of the interval DP holds dp[i][j] = SP(s[i..j]) for every j (0 for
+    j < i).  Rows are built from i = n-1 down to 0, and row i reads only row
+    i+1, itself to its left and row lo+1, where lo is the next occurrence of
+    s[i].  So one saved row per letter plus the row below is kept alive, and
+    row 0 is SP of every nonempty prefix.
+    """
     n = len(s)
-    if n == 0:
-        return 0
-    # dp[i][j] = distinct nonempty palindromic subsequences of s[i..j].
-    dp = [[0] * n for _ in range(n)]
-    for i in range(n):
-        dp[i][i] = 1
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span - 1
-            if s[i] != s[j]:
-                inner = dp[i + 1][j - 1] if span > 2 else 0
-                dp[i][j] = dp[i + 1][j] + dp[i][j - 1] - inner
-            else:
-                inner = dp[i + 1][j - 1] if span > 2 else 0
-                lo = s.find(s[i], i + 1, j)
-                if lo == -1:
-                    # no inner occurrence: the doubles plus the single are new
-                    dp[i][j] = 2 * inner + 2
-                else:
-                    hi = s.rfind(s[i], i + 1, j)
-                    if lo == hi:
-                        dp[i][j] = 2 * inner + 1
-                    else:
-                        shared = dp[lo + 1][hi - 1] if lo + 1 <= hi - 1 else 0
-                        dp[i][j] = 2 * inner - shared
-    return dp[0][n - 1]
+    prev_same = []  # prev_same[j]: the previous occurrence of s[j], or -1
+    last: dict[str, int] = {}
+    for j, c in enumerate(s):
+        prev_same.append(last.get(c, -1))
+        last[c] = j
+    below = [0] * n  # row n: every interval is empty
+    later: dict[str, tuple[int, list[int]]] = {}  # c -> (next occurrence lo, row lo+1)
+    for i in range(n - 1, -1, -1):
+        c = s[i]
+        lo, shared = later.get(c, (n, below))  # no later c: shared is never read
+        row = [0] * i
+        row.append(1)
+        append = row.append
+        left = 1
+        # down = dp[i+1][j], diag = dp[i+1][j-1], left = dp[i][j-1]
+        for d, down, diag, hi in zip(s[i + 1 :], below[i + 1 :], below[i:], prev_same[i + 1 :]):
+            if d != c:
+                left = down + left - diag
+            elif hi == i:  # no c strictly inside: c, cc and every c.p.c are new
+                left = 2 * diag + 2
+            elif hi == lo:  # one c inside: only cc is new besides c.p.c
+                left = 2 * diag + 1
+            else:  # c.p.c with p inside the inner c..c were counted already
+                left = 2 * diag - shared[hi - 1]
+            append(left)
+        later[c] = (i, below)
+        below = row
+    return [0, *below]
+
+
+def _sp_count_text(s: str) -> int:
+    return _sp_prefix_counts(s)[-1]
+
+
+def _check_sp_guard(n: int) -> None:
+    if n > SP_COUNT_GUARD:
+        raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
 
 
 def sp_count(w: Word) -> int:
     """Number of distinct nonempty palindromic subsequences of w, by
     interval dynamic programming with exact big integers."""
-    if len(w) > SP_COUNT_GUARD:
-        raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
+    _check_sp_guard(len(w))
     return _sp_count_text(w.text)
 
 
 def sp_delta(w: Word, symbol: str) -> int:
     """How many new scattered palindromic subsequences appending `symbol`
-    to w creates: SP(w·a) - SP(w)."""
+    to w creates: SP(w·a) - SP(w), read off one pass over w·a."""
     extended = w + Word(w.alphabet, symbol)
-    return sp_count(extended) - sp_count(w)
+    _check_sp_guard(len(extended))
+    counts = _sp_prefix_counts(extended.text)
+    return counts[-1] - counts[len(w)]
 
 
 def palindrome_report(w: Word) -> PalindromeReport:

@@ -103,13 +103,13 @@ class Word:
 
     def __getitem__(self, key: Union[int, slice]) -> Union[str, "Word"]:
         if isinstance(key, slice):
-            return Word(self.alphabet, self.text[key])
+            return _unchecked_word(self.alphabet, self.text[key])
         return self.text[key]
 
     def __add__(self, other: "Word") -> "Word":
         """Concatenation.  Length is additive and letter counts distribute."""
         _require_same_alphabet(self, other)
-        return Word(self.alphabet, self.text + other.text)
+        return _unchecked_word(self.alphabet, self.text + other.text)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -131,7 +131,7 @@ class Word:
 
     def reverse(self) -> "Word":
         """The mirror image of this word."""
-        return Word(self.alphabet, self.text[::-1])
+        return _unchecked_word(self.alphabet, self.text[::-1])
 
 
 class Morphism:
@@ -199,6 +199,15 @@ class Morphism:
         return f"Morphism({rules})"
 
 
+def _unchecked_word(alphabet: Alphabet, text: str) -> Word:
+    """A Word built without validation, for text already known to be over
+    alphabet (a slice or join of words over it)."""
+    w = object.__new__(Word)
+    w.alphabet = alphabet
+    w.text = text
+    return w
+
+
 def _require_same_alphabet(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
@@ -236,4 +245,4 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
     if k > len(text):
         return []
     seen = {text[i : i + k] for i in range(len(text) - k + 1)}
-    return [Word(w.alphabet, t) for t in sorted(seen, key=w.alphabet.sort_key)]
+    return [_unchecked_word(w.alphabet, t) for t in sorted(seen, key=w.alphabet.sort_key)]

@@ -129,6 +129,25 @@ def test_density_routes_that_disagree_are_exit_3():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "k, tau, b, message",
+    [
+        ("200", "1", "1", "error: gamma(200.0) overflows a float\n"),
+        ("170", "1e-300", "inf", "error: the integrand's x ** 169.0 overflows a float on [0.0, inf]\n"),
+    ],
+)
+def test_density_float_overflow_is_exit_3(k, tau, b, message):
+    argv = ["density", "--a", "0", "--b", b, "--k", k, "--tau", tau]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibword.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == message
+    assert "Traceback" not in proc.stderr
+
+
 def test_curve_csv_header(capsys):
     code, out, _ = run_cli(capsys, "curve", "--n-max", "5", "--format", "csv")
     assert code == 0

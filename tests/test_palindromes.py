@@ -6,9 +6,14 @@ Note on the worked pair: P("abaa") = 4 and SP("abaa") = 5, while for
 P("abab") = 4.  The module reports measured truth.
 """
 
+import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,7 +31,9 @@ from fibword.palindromes import (
     sp_count,
     sp_delta,
 )
-from fibword.words import AB, ABC, BINARY
+from fibword.words import AB, ABC, BINARY, Alphabet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ab_texts = st.text(alphabet="ab", max_size=60)
 abc_texts = st.text(alphabet="abc", min_size=1, max_size=12)
@@ -103,6 +110,77 @@ def test_sp_count_matches_oracle_exhaustively():
 def test_sp_count_matches_oracle_ternary(text):
     w = ABC.word(text)
     assert sp_count(w) == oracle.brute_sp_count(w)
+
+
+def _reference_sp(text):
+    """SP by the outer letter of each palindrome: c alone, then cc and every
+    c.p.c with p a palindrome strictly between the first and the last c."""
+
+    @functools.cache
+    def sp(i, j):
+        total = 0
+        for c in set(text[i : j + 1]):
+            first, last = text.find(c, i, j + 1), text.rfind(c, i, j + 1)
+            total += 1 if first == last else 2 + sp(first + 1, last - 1)
+        return total
+
+    return sp(0, len(text) - 1)
+
+
+def test_sp_count_matches_reference_on_random_words():
+    rng = random.Random(2024)
+    for _ in range(320):
+        letters = "abcd"[: rng.randint(1, 4)]
+        w = Alphabet(letters).word("".join(rng.choice(letters) for _ in range(rng.randint(0, 120))))
+        assert sp_count(w) == _reference_sp(w.text), w.text
+        if w:
+            assert sp_delta(w[:-1], w[-1]) == _reference_sp(w.text) - _reference_sp(w.text[:-1])
+
+
+def test_sp_count_matches_reference_on_fibonacci_prefixes():
+    for n in [*range(1, 60), *range(60, 301, 24)]:
+        w = infinite_prefix(n)
+        assert sp_count(w) == _reference_sp(w.text), n
+
+
+def test_sp_count_pinned_values():
+    # Pinned from the full n x n interval table, an independent route.
+    assert sp_count(infinite_prefix(600)) == (
+        161918213920061920763222845396033989222510925760515591967079
+    )
+    assert sp_count(infinite_prefix(1200)) == int(
+        "708609453855304345002332633423308826987787766186698022234534894203444290798962"
+        "5158559786175217369914886448537375272148"
+    )
+    text = format(random.Random(1200).getrandbits(1200), "01200b")
+    assert sp_count(BINARY.word(text)) == int(
+        "187643517697091567618231400898098927839243305019252446536055937081198788803803"
+        "0376949007383325152"
+    )
+    w = infinite_prefix(300)
+    assert sp_delta(w, "0") == 54298509348682061455858709846
+    assert sp_delta(w, "1") == 151808968351768366494367663598
+
+
+_SP_RSS_PROBE = """
+import resource
+from fibword.fibonacci import infinite_prefix
+from fibword.palindromes import sp_count
+w = infinite_prefix(3000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sp_count(w)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_sp_count_keeps_a_few_rows_alive():
+    # A full n x n table of these big integers takes ~390 MB at this size.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SP_RSS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024  # ru_maxrss is in KiB
 
 
 @given(ab_texts)
