@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import verify
@@ -28,23 +30,35 @@ class UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
 
 
+def _cell(value: object) -> str:
+    """One CSV cell: booleans as true/false, the rest by str (a float's str is its repr)."""
+    return json.dumps(value) if isinstance(value, bool) else str(value)
+
+
 @dataclass(frozen=True)
 class Report:
-    """One command's output in every format, and its exit code.  ``payload``
-    is the JSON value (a dict prints compact, a list with indent 2); ``csv``
-    and ``text`` are lines.  A form that is None prints the text lines."""
+    """One command's output and exit code; render builds only the form asked for.  ``payload``
+    is the JSON value (a dict prints compact, other rows as a list with indent 2), ``text`` the
+    lines, ``csv`` (header, rows) of raw values, by default the payload's keys and values."""
 
-    payload: dict | list | None
-    csv: list[str] | None
-    text: list[str]
+    payload: dict | Iterable[dict] | None
+    text: Iterable[str]
+    csv: tuple[Iterable, Iterable[Iterable]] | None = None
     code: int = 0
 
     def render(self, fmt: str) -> str:
-        if fmt == "json" and self.payload is not None:
-            indent = 2 if isinstance(self.payload, list) else None
-            return json.dumps(self.payload, indent=indent) + "\n"
-        lines = self.csv if fmt == "csv" and self.csv is not None else self.text
-        return "\n".join(lines) + "\n"
+        if self.payload is None or fmt == "text":  # without a payload every format is text
+            return "\n".join(self.text) + "\n"
+        if fmt == "json":
+            value = self.payload if isinstance(self.payload, dict) else list(self.payload)
+            return json.dumps(value, indent=2 if isinstance(value, list) else None) + "\n"
+        if self.csv is not None:
+            header, rows = self.csv
+        else:  # the payload's keys, then each row's values
+            rows = iter([self.payload] if isinstance(self.payload, dict) else self.payload)
+            header = next(rows)
+            rows = chain([header.values()], (row.values() for row in rows))
+        return "\n".join(",".join(map(_cell, row)) for row in chain([header], rows)) + "\n"
 
 
 def _parse_word(text: str) -> Word:
@@ -70,7 +84,7 @@ def _cmd_generate(args: argparse.Namespace) -> Report:
         word = fib_word(args.n, seeds)
     else:
         word = infinite_prefix(args.length)
-    return Report({"word": word.text, "length": len(word)}, ["word", word.text], [word.text])
+    return Report({"word": word.text, "length": len(word)}, [word.text], (["word"], [[word.text]]))
 
 
 def _cmd_density(args: argparse.Namespace) -> Report:
@@ -80,22 +94,17 @@ def _cmd_density(args: argparse.Namespace) -> Report:
             raise UsageError("choose either --pattern/--prefix or --a/--b/--k/--tau")
         if args.prefix is None:
             raise UsageError("--pattern needs --prefix")
-        pattern, n = Word(BINARY, args.pattern), args.prefix
-        sample = density(pattern, n)
-        count, dens = sample.count, sample.value_real
+        pattern, n = args.pattern, args.prefix
+        s = density(Word(BINARY, pattern), n)
         return Report(
-            {"count": count, "n": n, "density": dens},
-            ["pattern,count,n,density", f"{pattern.text},{count},{n},{dens!r}"],
-            [f"pattern: {pattern.text}", f"n: {n}", f"count: {count}", f"density: {dens!r}"],
+            {"count": s.count, "n": n, "density": s.value_real},
+            [f"pattern: {pattern}", f"n: {n}", f"count: {s.count}", f"density: {s.value_real}"],
+            (["pattern", "count", "n", "density"], [[pattern, s.count, n, s.value_real]]),
         )
     if any(v is None for v in integral_flags):
         raise UsageError("density needs --pattern/--prefix or all of --a/--b/--k/--tau")
     values = asdict(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau)))
-    return Report(
-        values,
-        [",".join(values), ",".join(repr(v) for v in values.values())],
-        [f"{name}: {v!r}" for name, v in values.items()],
-    )
+    return Report(values, [f"{name}: {v}" for name, v in values.items()])
 
 
 def _cmd_curve(args: argparse.Namespace) -> Report:
@@ -104,13 +113,13 @@ def _cmd_curve(args: argparse.Namespace) -> Report:
     else:
         samples = letter_density_curve(args.letter, args.n_max)
     return Report(
-        [
+        (
             {"n": s.n, "numerator": s.value.numerator, "denominator": s.value.denominator,
              "value": s.value_real}
             for s in samples
-        ],
-        ["n,value"] + [f"{s.n},{s.value_real!r}" for s in samples],
-        [f"{s.n} {s.value} {s.value_real!r}" for s in samples],
+        ),
+        (f"{s.n} {s.value} {s.value_real!r}" for s in samples),
+        (["n", "value"], ((s.n, s.value_real) for s in samples)),
     )
 
 
@@ -122,29 +131,23 @@ def _cmd_palindromes(args: argparse.Namespace) -> Report:
         word, factors = r.word.text, [f.text for f in r.pal_factors]
         return Report(
             {"word": word, "pal_factors": factors, "p_count": r.p_count, "sp_count": r.sp_count},
-            ["factor", *(factors or [""])],  # no factors still prints one empty row
             [f"word: {word}", f"pal_factors: {' '.join(factors)}",
              f"p_count: {r.p_count}", f"sp_count: {r.sp_count}"],
+            (["factor"], zip(factors or [""])),  # no factors still prints one empty row
         )
     if args.length is None:
         raise UsageError("--prefix needs --length")
-    table = pal_density_table(args.prefix, args.length)
-    rows = [(w.text, s.count, s.n, s.value_real) for w, s in table.items()]
+    table = pal_density_table(args.prefix, args.length).items()
     return Report(
-        [{"palindrome": p, "count": c, "n": n, "density": d} for p, c, n, d in rows],
-        ["palindrome,count,n,density"] + [f"{p},{c},{n},{d!r}" for p, c, n, d in rows],
-        [f"{p} count={c} n={n} density={d!r}" for p, c, n, d in rows],
+        ({"palindrome": w.text, "count": s.count, "n": s.n, "density": s.value_real}
+         for w, s in table),
+        (f"{w.text} count={s.count} n={s.n} density={s.value_real!r}" for w, s in table),
     )
 
 
 def _cmd_scattered(args: argparse.Namespace) -> Report:
-    word = _parse_word(args.pattern)
-    count = sp_count(word)
-    return Report(
-        {"word": word.text, "sp_count": count},
-        ["word,sp_count", f"{word.text},{count}"],
-        [f"word: {word.text}", f"sp_count: {count}"],
-    )
+    payload = {"word": args.pattern, "sp_count": sp_count(_parse_word(args.pattern))}
+    return Report(payload, [f"{name}: {v}" for name, v in payload.items()])
 
 
 def _cmd_squarefree(args: argparse.Namespace) -> Report:
@@ -154,47 +157,43 @@ def _cmd_squarefree(args: argparse.Namespace) -> Report:
         texts = [w.text for w in enumerate_square_free(args.alphabet, args.length)]
         return Report(
             {"n": args.length, "count": len(texts), "words": texts},
-            ["word", *texts],
             # the empty word (--length 0) gets no text line of its own
             [t for t in texts if t] + [f"count: {len(texts)}"],
+            (["word"], zip(texts)),
         )
     rows = brandenburg_table(args.n_max)
-    csv, text = ["n,s_n,lower,upper,lower_holds,upper_holds"], []
-    for r in rows:
-        lo, up = str(r.lower_holds).lower(), str(r.upper_holds).lower()
-        csv.append(f"{r.n},{r.s_n},{r.lower!r},{r.upper!r},{lo},{up}")
-        text.append(
+    return Report(
+        (asdict(r) for r in rows),
+        [
             f"n={r.n} s_n={r.s_n} lower={r.lower:.4f} upper={r.upper:.4f} "
-            f"lower_holds={lo} upper_holds={up}"
-        )
-    return Report([asdict(r) for r in rows], csv, text)
+            f"lower_holds={_cell(r.lower_holds)} upper_holds={_cell(r.upper_holds)}"
+            for r in rows
+        ],
+    )
 
 
 def _cmd_catalan(args: argparse.Namespace) -> Report:
     records = catalan_table(args.n_max)
     return Report(
-        [
+        (
             {"n": r.n, "c_n": r.c_n, "table_expr": r.table_expr, "g_numerator": r.g_n.numerator,
              "g_denominator": r.g_n.denominator, "g": float(r.g_n)}
             for r in records
-        ],
-        ["n,c_n,table_expr,g_n"] + [f"{r.n},{r.c_n},{r.table_expr},{r.g_n}" for r in records],
-        [
+        ),
+        (
             f"n={r.n} c_n={r.c_n} table_expr={r.table_expr} g_n={r.g_n} ({float(r.g_n)!r})"
             for r in records
-        ],
+        ),
+        (["n", "c_n", "table_expr", "g_n"], ((r.n, r.c_n, r.table_expr, r.g_n) for r in records)),
     )
 
 
 def _cmd_fuzzy(args: argparse.Namespace) -> Report:
     fw = fuzzy_fib_word(args.n, args.mu_a, args.mu_b)
-    pairs = list(zip(fw.word.text, fw.memberships))
-    degrees = " ".join(repr(m) for m in fw.memberships)
-    overall = word_membership(fw)
+    degrees = " ".join(map(repr, fw.memberships))
     return Report(
-        [{"symbol": s, "membership": m} for s, m in pairs],
-        ["symbol,membership"] + [f"{s},{m!r}" for s, m in pairs],
-        [f"word: {fw.word.text}", f"memberships: {degrees}", f"membership: {overall!r}"],
+        ({"symbol": s, "membership": m} for s, m in zip(fw.word.text, fw.memberships)),
+        [f"word: {fw.word.text}", f"memberships: {degrees}", f"membership: {word_membership(fw)}"],
     )
 
 
@@ -207,7 +206,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> Report:
     ratio = next(cur for prev, cur in zip(reals, reals[1:]) if abs(cur - prev) < 1e-10)
     return Report(
         {"ones": ones, "zeros": zeros, "length": len(word), "ratio": ratio},
-        ["ones,zeros,length,ratio", f"{ones},{zeros},{len(word)},{ratio!r}"],
         [f"ones: {ones}", f"zeros: {zeros}", f"length: {len(word)}", f"ratio: {ratio:.10f}"],
     )
 
@@ -217,7 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     lines = [f"verify {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
     lines.append(f"verify: {len(results) - failed}/{len(results)} suites ok")
-    return Report(None, None, lines, 1 if failed else 0)
+    return Report(None, lines, code=1 if failed else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -175,7 +175,8 @@ def sp_delta(w: Word, symbol: str) -> int:
 
 def palindrome_report(w: Word) -> PalindromeReport:
     """Full report: palindromic factors, P(w) and SP(w)."""
-    return replace(pal_factors(w), sp_count=sp_count(w))
+    sp = sp_count(w)  # first, so a word past the SP guard builds no factor string
+    return replace(pal_factors(w), sp_count=sp)
 
 
 def pal_density_table(prefix_len: int, length: int) -> dict[Word, DensitySample]:

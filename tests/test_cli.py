@@ -177,6 +177,52 @@ def test_curve_letter_kind(capsys):
     assert out.splitlines()[-1] == "8,0.625"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--n-max", "100", "--format", "csv"],
+        ["curve", "--kind", "letter", "--letter", "0", "--n-max", "100", "--format", "csv"],
+    ],
+)
+def test_curve_csv_reads_no_exact_value(capsys, monkeypatch, argv):
+    # CSV prints only floats, so building the JSON or text form (which read
+    # each sample's exact Fraction) would be wasted work.
+    from fibword.density import DensitySample
+
+    def unread(sample):
+        raise RuntimeError("exact value read for the CSV form")
+
+    monkeypatch.setattr(DensitySample, "value", property(unread))
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
+    expected = next(case["stdout"] for case in golden if case["argv"] == argv)
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+_RSS_PROBE = """
+import os
+from fibword.cli import main
+code = main(["curve", "--kind", "letter", "--n-max", "200000", "--format", "csv", "--out", os.devnull])
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(code, peak_kb // 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_letter_curve_csv_stays_small():
+    # Only the CSV lines are built: ~65 MB peak RSS, against ~150 MB when
+    # every form was built up front (2-CPU VM, Python 3.11, Linux).  VmHWM,
+    # unlike ru_maxrss, does not carry over the forking parent's peak.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_mb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_mb < 100
+
+
 def test_letter_curve_past_its_guard_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "curve", "--kind", "letter", "--n-max", "100000000")
     assert code == 3
@@ -191,6 +237,19 @@ def test_palindromes_report(capsys):
     assert payload["p_count"] == 4
     assert payload["sp_count"] == 5
     assert payload["pal_factors"] == ["a", "aa", "aba", "b"]
+
+
+def test_palindromes_past_the_sp_guard_builds_no_factors(capsys, monkeypatch):
+    import fibword.palindromes as palindromes
+
+    def refuse(w):
+        raise AssertionError("factor strings built for a word past the SP guard")
+
+    monkeypatch.setattr(palindromes, "pal_factors", refuse)
+    code, out, err = run_cli(capsys, "palindromes", "--pattern", "a" * 10001)
+    assert code == 3
+    assert out == ""
+    assert err == "error: sp_count is limited to |w| <= 10000\n"
 
 
 def test_palindromes_density_table(capsys):

@@ -9,6 +9,7 @@ that file in the same change; nothing here regenerates it.
 """
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,32 @@ def test_out_writes_golden_bytes(case, capsys, tmp_path):
     code, out, err = _run(capsys, case["argv"] + ["--out", str(target)])
     assert (code, out, err) == (0, "", case["stderr"])
     assert target.read_bytes() == case["stdout"].encode("utf-8")
+
+
+def _readme_examples():
+    """argv of each `fibword ...` line in the sh block under README's ## CLI,
+    without its --format."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["fibword"]:
+            if "--format" in argv:
+                at = argv.index("--format")
+                del argv[at : at + 2]
+            examples.append(argv[1:])
+    return examples
+
+
+def test_readme_examples_are_pinned_in_every_format():
+    examples = _readme_examples()
+    assert examples
+    pinned = {tuple(case["argv"]) for case in CASES}
+    missing = [
+        " ".join(argv + ["--format", fmt])
+        for argv in examples
+        for fmt in ("text", "csv", "json")
+        if tuple(argv + ["--format", fmt]) not in pinned
+    ]
+    assert missing == []
