@@ -18,16 +18,18 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import add
 
 from .fibonacci import PHI, fib, infinite_prefix
-from .words import Word, _require_same_alphabet
+from .words import Word, _letter_masks, _require_same_alphabet
 
 
 class DensitySample:
     """One point of a density curve: prefix length ``n`` and exact ``value``,
     given as a ``Fraction`` or as an occurrence ``count`` (value = count / n,
-    built on the first read of ``.value``; ``count`` is None otherwise).
-    Slotted and, like Word, never mutated; compares and hashes by (n, value)."""
+    built on every read of ``.value`` and never stored; ``count`` is None
+    otherwise).  Slotted and, like Word, never mutated; compares and hashes
+    by (n, value)."""
 
     __slots__ = ("n", "count", "_value")
 
@@ -38,9 +40,7 @@ class DensitySample:
 
     @property
     def value(self) -> Fraction:
-        if self._value is None:
-            self._value = Fraction(self.count, self.n)
-        return self._value
+        return self._value if self.count is None else Fraction(self.count, self.n)
 
     @property
     def value_real(self) -> float:
@@ -61,18 +61,22 @@ class DensitySample:
 
 def count_occurrences(pattern: Word, text: Word) -> int:
     """Occurrences of pattern in text, counted with overlap
-    ("aa" occurs twice in "aaa")."""
+    ("aa" occurs twice in "aaa").  Shift-AND over the text's letter bitmasks
+    marks the starts that match the first min(|pattern|, 64) symbols; up to 64
+    symbols their number is the count, past them str.startswith confirms each."""
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
     _require_same_alphabet(pattern, text)
     p, t = pattern.text, text.text
-    count, start = 0, 0
-    while True:
-        idx = t.find(p, start)
-        if idx < 0:
-            return count
-        count += 1
-        start = idx + 1
+    masks = _letter_masks(t, text.alphabet)
+    hits = masks[p[0]]
+    for j, c in enumerate(p[1:64], 1):
+        hits &= masks[c] >> j
+    if len(p) <= 64:
+        return hits.bit_count()
+    gaps = bin(hits)[:1:-1].split("1")[:-1]  # the zeros before each candidate start
+    starts = map(add, accumulate(map(len, gaps)), range(len(gaps)))  # zeros + ones before
+    return sum(map(t.startswith, repeat(p), starts))
 
 
 def density(pattern: Word, prefix_len: int) -> DensitySample:

@@ -10,9 +10,11 @@ never asserted: the printed constants fail at small n (s(1) = 3 < 6.19).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
-from .words import AB, ABC, BINARY, Morphism, Word
+from .words import AB, ABC, BINARY, Morphism, Word, _letter_masks, _unchecked_word
 
 #: Thue-Morse substitution; its fixed point from 0 is overlap-free.
 THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
@@ -20,8 +22,10 @@ THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
 #: The square-free codec morphism: ternary words to binary words.
 DELTA_MORPHISM = Morphism(ABC, AB, {"a": "abb", "b": "ab", "c": "a"})
 
+_SQUARE_FREE_ALPHABETS = {2: AB, 3: ABC}
 ENUMERATION_GUARD = 20
 THUE_MORSE_GUARD = 2**20
+REPETITION_GUARD = 2**16
 
 
 def _square_ends_at(s: str, end: int) -> bool:
@@ -34,45 +38,42 @@ def _square_ends_at(s: str, end: int) -> bool:
 
 def is_square_free(w: Word) -> bool:
     """True iff w contains no factor xx with x nonempty."""
-    s = w.text
-    for end in range(2, len(s) + 1):
-        if _square_ends_at(s, end):
-            return False
-    return True
+    return not _has_periodic_factor(w, 0)
 
 
-def enumerate_square_free(alphabet_size: int, n: int) -> list[Word]:
-    """All square-free words of exactly length n over a 2- or 3-letter
-    alphabet, in lexicographic order.
-
-    Backtracking: a prefix with a square can never extend to a square-free
-    word, so only squares ending at the appended position are checked.
-    """
-    alphabet = {2: AB, 3: ABC}.get(alphabet_size)
+def _square_free_words(alphabet_size: int, n: int) -> Iterator[str]:
+    """Every square-free word of length <= n over a 2- or 3-letter alphabet,
+    depth first with siblings in alphabet order, so each length comes out
+    sorted.  A prefix with a square never extends to a square-free word, so
+    only squares ending at the appended letter are checked."""
+    alphabet = _SQUARE_FREE_ALPHABETS.get(alphabet_size)
     if alphabet is None:
         raise ValueError("alphabet size must be 2 or 3")
     if n < 0:
         raise ValueError("length must be nonnegative")
     if n > ENUMERATION_GUARD:
         raise ValueError(f"enumeration is limited to n <= {ENUMERATION_GUARD}")
-    out: list[str] = []
+    stack = [""]
+    while stack:
+        prefix = stack.pop()
+        yield prefix
+        if len(prefix) < n:
+            for c in reversed(alphabet.symbols):  # popped in alphabet order
+                cand = prefix + c
+                if not _square_ends_at(cand, len(cand)):
+                    stack.append(cand)
 
-    def extend(prefix: str) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for c in alphabet.symbols:
-            cand = prefix + c
-            if not _square_ends_at(cand, len(cand)):
-                extend(cand)
 
-    extend("")
-    return [Word(alphabet, t) for t in out]
+def enumerate_square_free(alphabet_size: int, n: int) -> list[Word]:
+    """All square-free words of exactly length n over a 2- or 3-letter
+    alphabet, in lexicographic order."""
+    texts = [t for t in _square_free_words(alphabet_size, n) if len(t) == n]
+    return [_unchecked_word(_SQUARE_FREE_ALPHABETS[alphabet_size], t) for t in texts]
 
 
 def square_free_count(alphabet_size: int, n: int) -> int:
     """s(n): the number of square-free words of length n."""
-    return len(enumerate_square_free(alphabet_size, n))
+    return Counter(map(len, _square_free_words(alphabet_size, n)))[n]
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,10 @@ def brandenburg_table(n_max: int) -> list[BoundRow]:
     lower bound."""
     if not 1 <= n_max <= ENUMERATION_GUARD:
         raise ValueError(f"n_max must be between 1 and {ENUMERATION_GUARD}")
+    counts = Counter(map(len, _square_free_words(3, n_max)))  # s(0..n_max) in one pass
     rows = []
     for n in range(1, n_max + 1):
-        s_n = square_free_count(3, n)
+        s_n = counts[n]
         lower = 6 * 1.032**n
         upper = 6 * 1.379**n
         rows.append(BoundRow(n, s_n, lower, upper, lower <= s_n, s_n <= upper))
@@ -122,24 +124,31 @@ def _has_ones_run(z: int, k: int) -> bool:
     return z != 0
 
 
-def has_overlap(w: Word) -> bool:
-    """True iff w contains a factor a·x·a·x·a (a a symbol, x possibly
-    empty), i.e. a factor of length 2p+1 with period p."""
+def _has_periodic_factor(w: Word, extra: int) -> bool:
+    """Does w have a factor of length 2p + extra with period p, for some p >= 1?
+    A square is extra = 0, an overlap extra = 1."""
+    if len(w) > REPETITION_GUARD:
+        raise ValueError(
+            f"repetition tests are limited to |w| <= {REPETITION_GUARD} "
+            "(~|w|**2/64 word operations, 0.6-0.9 s at the limit)"
+        )
     # Bit i of a letter's mask is set iff symbol i is that letter, so bit i
-    # of `agree` is set iff symbols i and i+p are equal; an overlap with
-    # period p is p+1 consecutive agreement positions.
-    rev = w.text[::-1]  # int(..., 2) reads the first character as the top bit
-    masks = []
-    for c in w.alphabet:
-        bits = rev.translate({ord(s): "1" if s == c else "0" for s in w.alphabet})
-        masks.append(int(bits or "0", 2))
-    for p in range(1, (len(rev) - 1) // 2 + 1):
+    # of `agree` is set iff symbols i and i+p are equal; such a factor is
+    # p + extra consecutive agreement positions.
+    masks = _letter_masks(w.text, w.alphabet).values()
+    for p in range(1, (len(w) - extra) // 2 + 1):
         agree = 0
         for m in masks:
             agree |= m & (m >> p)
-        if _has_ones_run(agree, p + 1):
+        if _has_ones_run(agree, p + extra):
             return True
     return False
+
+
+def has_overlap(w: Word) -> bool:
+    """True iff w contains a factor a·x·a·x·a (a a symbol, x possibly
+    empty), i.e. a factor of length 2p+1 with period p."""
+    return _has_periodic_factor(w, 1)
 
 
 def delta_encode(b: Word) -> Word:

@@ -14,7 +14,8 @@ from . import oracle
 from .density import IntegralParams, count_occurrences, integral_density
 from .fibonacci import infinite_prefix, nth_symbol
 from .palindromes import pal_factors, sp_count
-from .squarefree import delta_decode, delta_encode, enumerate_square_free
+from .squarefree import (delta_decode, delta_encode, enumerate_square_free, has_overlap,
+                         is_square_free, thue_morse_prefix)
 from .words import AB, ABC, BINARY, Word, distinct_factors
 
 SEED = 20240517
@@ -67,6 +68,25 @@ def _square_free_enumeration() -> tuple[bool, str]:
     return bad == 0, f"alphabets 2,3 n<=8, {bad} mismatches"
 
 
+def _square_free_test() -> tuple[bool, str]:
+    # square and overlap tests vs all-windows scans, on joins of two factors of
+    # an overlap-free binary word and a square-free ternary word
+    rng = random.Random(SEED)
+    t = thue_morse_prefix(257).text
+    ternary = "".join("abc"[int(y) - int(x) + 1] for x, y in zip(t, t[1:]))
+
+    def factor(s: str) -> str:
+        i = rng.randrange(len(s))
+        return s[i : i + rng.randint(0, 16)]
+
+    words = [Word(a, factor(s) + factor(s)) for a, s in ((BINARY, t), (ABC, ternary)) for _ in range(40)]
+    bad = sum(
+        is_square_free(w) == oracle.brute_square_scan(w) or has_overlap(w) != oracle.brute_overlap_scan(w)
+        for w in words
+    )
+    return bad == 0, f"{len(words)} words, {bad} mismatches"
+
+
 def _codec_round_trip() -> tuple[bool, str]:
     # codec round-trip and uniqueness
     rng = random.Random(SEED)
@@ -116,6 +136,7 @@ SUITES = (
     ("scattered-palindromes", _scattered_palindromes),
     ("palindromic-factors", _palindromic_factors),
     ("square-free-enumeration", _square_free_enumeration),
+    ("square-free-test", _square_free_test),
     ("codec-round-trip", _codec_round_trip),
     ("integral-dual-path", _integral_dual_path),
     ("symbol-access", _symbol_access),

@@ -213,6 +213,17 @@ def _require_same_alphabet(u: Word, v: Word) -> None:
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
 
 
+def _letter_masks(text: str, alphabet: Alphabet) -> dict[str, int]:
+    """One bitmask per letter: bit i is set iff text[i] is that letter.  The
+    last letter's mask is the complement of the others, which are parsed."""
+    rev = text[::-1]  # int(..., 2) reads the first character as the top bit
+    *head, last = alphabet.symbols
+    masks = {c: int(rev.translate({ord(s): "01"[s == c] for s in alphabet.symbols}) or "0", 2)
+             for c in head}
+    masks[last] = ((1 << len(text)) - 1) ^ sum(masks.values())  # the head masks are disjoint
+    return masks
+
+
 def letter_count(w: Word, symbol: str) -> int:
     """Number of positions of w holding the given symbol."""
     if symbol not in w.alphabet:

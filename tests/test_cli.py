@@ -354,7 +354,7 @@ def test_unknown_command_exits_2(capsys):
 def test_verify_runs_clean(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert "verify: 8/8 suites ok" in out
+    assert "verify: 9/9 suites ok" in out
     assert "FAIL" not in out
 
 

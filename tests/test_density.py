@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -23,7 +24,7 @@ from fibword.density import (
 )
 from fibword.fibonacci import PHI, fib, infinite_prefix
 from fibword.palindromes import pal_density_table
-from fibword.words import AB, BINARY
+from fibword.words import AB, ABC, BINARY, Alphabet, Word
 
 GRID = [
     (k, tau, a, b)
@@ -66,6 +67,52 @@ def test_count_occurrences_matches_oracle_randomized():
         text = BINARY.word("".join(rng.choice("01") for _ in range(rng.randint(0, 64))))
         pattern = BINARY.word("".join(rng.choice("01") for _ in range(rng.randint(1, 8))))
         assert count_occurrences(pattern, text) == oracle.brute_count(pattern, text)
+
+
+#: One to four letters, so unary texts and the complement mask of the last letter are covered.
+ALPHABETS = (Alphabet("a"), AB, ABC, Alphabet("abcd"))
+
+
+def _random_and_periodic_texts(rng: random.Random):
+    """Per alphabet, random words and periodic words (unary when the period is
+    one letter) of length 0-300."""
+    for alphabet in ALPHABETS:
+        for _ in range(25):
+            n = rng.randint(0, 300)
+            yield Word(alphabet, "".join(rng.choices(alphabet.symbols, k=n)))
+            period = "".join(rng.choices(alphabet.symbols, k=rng.randint(1, 4)))
+            yield Word(alphabet, (period * n)[:n])
+
+
+def test_count_occurrences_matches_oracle_across_the_64_symbol_boundary():
+    # Shift-AND counts patterns up to 64 symbols exactly and confirms longer
+    # ones symbol by symbol, so draw pattern lengths on both sides of 64.
+    rng = random.Random(64)
+    for text in _random_and_periodic_texts(rng):
+        for m in (1, 2, 63, 64, 65, rng.randint(1, 130), rng.randint(66, 130)):
+            if m <= len(text) and rng.random() < 0.7:  # a factor, so long patterns also occur
+                i = rng.randint(0, len(text) - m)
+                pattern = text[i : i + m]
+            else:
+                pattern = Word(text.alphabet, "".join(rng.choices(text.alphabet.symbols, k=m)))
+            assert count_occurrences(pattern, text) == oracle.brute_count(pattern, text)
+
+
+def _find_loop_count(p: str, t: str) -> int:
+    count, start = 0, 0
+    while (idx := t.find(p, start)) >= 0:
+        count, start = count + 1, idx + 1
+    return count
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 10**3, 10**4])
+def test_long_pattern_counts_match_a_find_loop(m):
+    prefix = infinite_prefix(10**5)
+    for start in (0, 1234, 50_000, 10**5 - m):
+        pattern = prefix[start : start + m]
+        assert count_occurrences(pattern, prefix) == _find_loop_count(pattern.text, prefix.text) > 0
+    absent = BINARY.word("11" + prefix.text[: m - 2])  # 11 never occurs
+    assert count_occurrences(absent, prefix) == 0
 
 
 def test_density_examples():
@@ -158,6 +205,19 @@ def test_counted_and_fraction_samples_are_one_value():
         DensitySample(6, Fraction(2, 3), count=4)
     with pytest.raises(TypeError):
         DensitySample(6)
+
+
+def test_reading_counted_values_keeps_nothing():
+    # The curve's text form reads every value once; a Fraction stored per
+    # sample would keep about 1 MB alive here.
+    samples = letter_density_curve("0", 10**4)
+    tracemalloc.start()
+    try:
+        assert sum(s.value for s in samples) > 0
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 10**5
 
 
 def test_sample_counts_match_oracle():

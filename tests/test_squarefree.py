@@ -9,6 +9,7 @@ import pytest
 from fibword import oracle
 from fibword.cli import main
 from fibword.squarefree import (
+    REPETITION_GUARD,
     brandenburg_table,
     delta_decode,
     delta_encode,
@@ -18,7 +19,7 @@ from fibword.squarefree import (
     square_free_count,
     thue_morse_prefix,
 )
-from fibword.words import AB, ABC, BINARY, Word
+from fibword.words import AB, ABC, BINARY, Alphabet, Word
 
 #: Ternary counts s(1)..s(12), re-derived by the oracle below and pinned.
 TERNARY_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
@@ -48,6 +49,47 @@ def test_is_square_free_matches_oracle_ternary():
     for _ in range(2000):
         w = ABC.word("".join(rng.choice("abc") for _ in range(rng.randint(10, 12))))
         assert is_square_free(w) == (not oracle.brute_square_scan(w))
+
+
+def _repetition_test_words(rng: random.Random):
+    """Random, unary and periodic words of length 0-300 over 1-4 letters, and
+    square-free and overlap-free words with and without a short tail."""
+    for alphabet in (Alphabet("a"), AB, ABC, Alphabet("abcd")):
+        for _ in range(25):
+            n = rng.randint(0, 300)
+            yield Word(alphabet, "".join(rng.choices(alphabet.symbols, k=n)))
+            period = "".join(rng.choices(alphabet.symbols, k=rng.randint(1, 4)))
+            yield Word(alphabet, (period * n)[:n])
+    t = thue_morse_prefix(301).text
+    for source in (BINARY.word(t[:300]), ABC.word("".join("abc"[int(y) - int(x) + 1] for x, y in zip(t, t[1:])))):
+        for _ in range(4):
+            i = rng.randint(0, 200)
+            factor = source[i : i + rng.randint(0, 100)]
+            yield factor
+            yield factor + Word(source.alphabet, "".join(rng.choices(source.alphabet.symbols, k=3)))
+
+
+def test_repetition_tests_match_oracle_scans():
+    rng = random.Random(300)
+    for w in _repetition_test_words(rng):
+        assert is_square_free(w) == (not oracle.brute_square_scan(w)), w
+        assert has_overlap(w) == oracle.brute_overlap_scan(w), w
+
+
+def test_repetition_tests_are_guarded_by_their_cost():
+    w = thue_morse_prefix(REPETITION_GUARD + 1)
+    for test in (is_square_free, has_overlap):
+        with pytest.raises(ValueError, match=f"limited to \\|w\\| <= {REPETITION_GUARD} .* s at the limit"):
+            test(w)
+    # the benchmark's and the tests' largest inputs are admitted
+    assert REPETITION_GUARD >= 16000 and not has_overlap(thue_morse_prefix(16000))
+
+
+def test_one_pass_counts_match_a006156_to_twenty():
+    # s(1..20) for ternary square-free words (OEIS A006156)
+    expected = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388]
+    assert [r.s_n for r in brandenburg_table(20)] == expected
+    assert [square_free_count(3, n) for n in (0, 19, 20)] == [1, 1830, 2388]
 
 
 def test_binary_square_free_words_are_exactly_six():
