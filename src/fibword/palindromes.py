@@ -21,6 +21,10 @@ from .words import BINARY, Word, _unchecked_word
 #: peak RSS (2-CPU VM, Python 3.11).  Longer inputs are refused.
 SP_COUNT_GUARD = 10**4
 
+#: pal_factors builds every factor as a string, so it refuses words whose factors
+#: total more characters: Fibonacci prefixes past 16,509 symbols, or a^n past 14,141.
+PAL_FACTORS_GUARD = 10**8
+
 
 def is_palindrome(w: Word) -> bool:
     """True iff w reads the same both ways; the empty word qualifies."""
@@ -47,63 +51,43 @@ class PalindromeReport:
     sp_count: Optional[int] = None
 
 
-class _Eertree:
-    """Palindromic tree: one node per distinct palindromic factor."""
+def _pal_factor_strings(text: str) -> list[str]:
+    """The distinct nonempty palindromic factors of text, off its eertree.
 
-    __slots__ = ("text", "lens", "links", "trans", "ends", "last")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.lens = [-1, 0]  # node 0: imaginary root, node 1: empty root
-        self.links = [0, 0]
-        self.trans: list[dict[str, int]] = [{}, {}]
-        self.ends = [-1, -1]  # sample end position of each palindrome
-        self.last = 1
-        for pos in range(len(text)):
-            self._add(pos)
-
-    def _suffix_pal(self, v: int, pos: int) -> int:
-        # Longest palindromic suffix node v' of text[:pos] such that
-        # text[pos - len(v') - 1] == text[pos].
-        text = self.text
-        while True:
-            l = self.lens[v]
-            if pos - l - 1 >= 0 and text[pos - l - 1] == text[pos]:
-                return v
-            v = self.links[v]
-
-    def _add(self, pos: int) -> None:
-        ch = self.text[pos]
-        cur = self._suffix_pal(self.last, pos)
-        nxt = self.trans[cur].get(ch)
-        if nxt is not None:
-            self.last = nxt
-            return
-        idx = len(self.lens)
-        self.lens.append(self.lens[cur] + 2)
-        self.ends.append(pos)
-        if self.lens[idx] == 1:
-            link = 1
-        else:
-            link = self.trans[self._suffix_pal(self.links[cur], pos)][ch]
-        self.links.append(link)
-        self.trans.append({})
-        self.trans[cur][ch] = idx
-        self.last = idx
-
-    def factor_strings(self) -> set[str]:
-        text = self.text
-        return {
-            text[self.ends[i] - self.lens[i] + 1 : self.ends[i] + 1]
-            for i in range(2, len(self.lens))
-        }
+    Node 0 is the imaginary root (length -1) and node 1 the empty root; each
+    other node is one palindrome, kept as its length, suffix link and start
+    in three flat lists.  Each edge v -> c.v.c is one entry of a dict keyed
+    by v << 21 | ord(c).
+    """
+    lens, links, starts = [-1, 0], [0, 0], [0, 0]
+    edges: dict[int, int] = {}
+    last = 1  # the longest palindromic suffix read so far
+    for pos, ch in enumerate(text):
+        v = last
+        while (i := pos - lens[v] - 1) < 0 or text[i] != ch:
+            v = links[v]
+        last = edges.get(key := v << 21 | ord(ch))
+        if last is None:
+            u = links[v]  # shorter than v, so its index below never drops under 0
+            while text[pos - lens[u] - 1] != ch:
+                u = links[u]
+            links.append(edges[u << 21 | ord(ch)] if v else 1)  # a letter links to the empty root
+            last = edges[key] = len(lens)
+            lens.append(lens[v] + 2)
+            starts.append(i)
+    total = sum(lens) + 1  # the roots add -1
+    if total > PAL_FACTORS_GUARD:
+        raise ValueError(
+            f"pal_factors is limited to {PAL_FACTORS_GUARD} characters of factors in all; "
+            f"this word's palindromic factors total {total}"
+        )
+    return [text[s : s + n] for s, n in zip(starts[2:], lens[2:])]
 
 
 def pal_factors(w: Word) -> PalindromeReport:
     """Report with the set of distinct nonempty palindromic factors of w
     (lexicographic under the alphabet order) and its cardinality."""
-    strings = _Eertree(w.text).factor_strings()
-    ordered = sorted(strings, key=w.alphabet.sort_key)
+    ordered = sorted(_pal_factor_strings(w.text), key=w.alphabet.sort_key)
     factors = tuple(_unchecked_word(w.alphabet, t) for t in ordered)
     return PalindromeReport(word=w, pal_factors=factors, p_count=len(factors))
 

@@ -21,6 +21,7 @@ THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
 
 #: The square-free codec morphism: ternary words to binary words.
 DELTA_MORPHISM = Morphism(ABC, AB, {"a": "abb", "b": "ab", "c": "a"})
+_DELTA_RUNS = {img.text[1:]: c for c, img in DELTA_MORPHISM.images.items()}  # b's after the a
 
 _SQUARE_FREE_ALPHABETS = {2: AB, 3: ABC}
 ENUMERATION_GUARD = 20
@@ -159,29 +160,17 @@ def delta_encode(b: Word) -> Word:
 def delta_decode(x: Word) -> Word:
     """The unique ternary word whose image under the codec morphism is x.
 
-    Greedy longest-match factorization into {abb, ab, a}: after each image
-    the remainder must start with a, so taking a shorter match when a
-    longer one fits always dead-ends, which makes greedy exact.
+    Each image abb, ab, a is one a followed by 2, 1 or 0 b's, so splitting x
+    at its a's leaves one run of b's per image, after an empty head.
     """
-    s = x.text
     if x.alphabet != AB:
         raise ValueError("input must be a word over {a, b}")
-    if not s:
-        return Word(ABC, "")
-    if s[0] != "a":
+    head, *runs = x.text.split("a")
+    if head:
         raise ValueError("no factorization: the word must start with a")
-    out = []
-    pos = 0
-    while pos < len(s):
-        if s.startswith("abb", pos):
-            out.append("a")
-            pos += 3
-        elif s.startswith("ab", pos):
-            out.append("b")
-            pos += 2
-        elif s[pos] == "a":
-            out.append("c")
-            pos += 1
-        else:
-            raise ValueError(f"no factorization: stray symbol at position {pos}")
-    return Word(ABC, "".join(out))
+    symbols = list(map(_DELTA_RUNS.get, runs))
+    if None in symbols:  # a run of 3 or more b's: its third b is stray
+        k = symbols.index(None)
+        pos = k + sum(map(len, runs[:k])) + 3  # past the run's a and two b's
+        raise ValueError(f"no factorization: stray symbol at position {pos}")
+    return _unchecked_word(ABC, "".join(symbols))

@@ -19,7 +19,7 @@ class Alphabet:
     enumeration in the library, so results are deterministic.
     """
 
-    __slots__ = ("symbols", "_ranks", "_rank_table", "_delete")
+    __slots__ = ("symbols", "_ranks", "_rank_table", "_delete", "_mask_tables")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -34,6 +34,8 @@ class Alphabet:
         self._ranks = {s: i for i, s in enumerate(syms)}
         self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
         self._delete = dict.fromkeys(map(ord, syms))
+        # per letter but the last, the table mapping it to "1" and the rest to "0"
+        self._mask_tables = {c: {ord(s): "01"[s == c] for s in syms} for c in syms[:-1]}
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -217,10 +219,8 @@ def _letter_masks(text: str, alphabet: Alphabet) -> dict[str, int]:
     """One bitmask per letter: bit i is set iff text[i] is that letter.  The
     last letter's mask is the complement of the others, which are parsed."""
     rev = text[::-1]  # int(..., 2) reads the first character as the top bit
-    *head, last = alphabet.symbols
-    masks = {c: int(rev.translate({ord(s): "01"[s == c] for s in alphabet.symbols}) or "0", 2)
-             for c in head}
-    masks[last] = ((1 << len(text)) - 1) ^ sum(masks.values())  # the head masks are disjoint
+    masks = {c: int(rev.translate(table) or "0", 2) for c, table in alphabet._mask_tables.items()}
+    masks[alphabet.symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
     return masks
 
 

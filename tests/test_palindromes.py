@@ -205,10 +205,25 @@ def test_counting_inequality_small_exhaustive():
 
 
 def test_pal_factors_match_oracle():
+    # One to four letters, random and periodic, so single letters link to the
+    # empty root and suffix walks reach the imaginary root from long nodes.
     rng = random.Random(17)
+    words = [AB.word("".join(rng.choice("ab") for _ in range(rng.randint(0, 300))))
+             for _ in range(120)]
     for _ in range(120):
-        w = AB.word("".join(rng.choice("ab") for _ in range(rng.randint(0, 300))))
-        assert set(pal_factors(w).pal_factors) == oracle.brute_pal_factor_set(w)
+        letters = "abcd"[: rng.randint(1, 4)]
+        n = rng.randint(0, 120)
+        period = "".join(rng.choices(letters, k=rng.randint(1, 6)))
+        words.append(Alphabet(letters).word((period * n)[:n]))
+        words.append(Alphabet(letters).word("".join(rng.choices(letters, k=n))))
+    for w in words:
+        assert set(pal_factors(w).pal_factors) == oracle.brute_pal_factor_set(w), w
+
+
+def test_pal_factors_refuses_words_past_the_character_guard():
+    # a^n has the n factors a..a^n, n(n+1)/2 characters in all.
+    with pytest.raises(ValueError, match=r"limited to 100000000 .* total 112507500$"):
+        pal_factors(AB.word("a" * 15000))
 
 
 def test_rich_words_have_one_palindrome_per_symbol():

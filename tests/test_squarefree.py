@@ -233,11 +233,16 @@ def test_ternary_square_free_word_has_no_overlap():
 def test_delta_decode_examples():
     assert delta_decode(AB.word("abbaba")).text == "abc"
     assert delta_decode(AB.word("a")).text == "c"
-    with pytest.raises(ValueError):
+    assert delta_decode(AB.word("")).text == ""
+    with pytest.raises(ValueError, match="must start with a$"):
         delta_decode(AB.word("ba"))
-    with pytest.raises(ValueError):
-        delta_decode(AB.word("abbb"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must start with a$"):
+        delta_decode(AB.word("b"))
+    # the first b past an image abb is stray
+    for text, pos in [("abbb", 3), ("aabbbb", 4), ("abbabaabbbbb", 9), ("abbababbbab", 8)]:
+        with pytest.raises(ValueError, match=f"^no factorization: stray symbol at position {pos}$"):
+            delta_decode(AB.word(text))
+    with pytest.raises(ValueError, match="over {a, b}"):
         delta_decode(BINARY.word("01"))
 
 
