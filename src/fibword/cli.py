@@ -16,14 +16,13 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
-from . import verify
 from .catalan import catalan_table
 from .density import IntegralParams, density, integral_density, letter_density_curve, ratio_curve
 from .fibonacci import DEFAULT_SEEDS, REFERENCE_SEEDS, FibSeeds, fib_word, infinite_prefix
 from .fuzzy import fuzzy_fib_word, word_membership
 from .palindromes import pal_density_table, palindrome_report, sp_count
 from .squarefree import brandenburg_table, enumerate_square_free
-from .words import AB, ABC, BINARY, Alphabet, Word
+from .words import BINARY, Alphabet, Word
 
 
 class UsageError(Exception):
@@ -62,11 +61,7 @@ class Report:
 
 
 def _parse_word(text: str) -> Word:
-    chars = set(text)
-    for alphabet in (BINARY, AB, ABC):
-        if chars <= set(alphabet.symbols):
-            return Word(alphabet, text)
-    return Word(Alphabet(sorted(chars)), text)
+    return Word(Alphabet(sorted(set(text)) or "a"), text)
 
 
 def _parse_seeds(raw: str) -> FibSeeds:
@@ -211,6 +206,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
+    from . import verify  # the suites and the oracle load only for this command
+
     results = [(name, *suite()) for name, suite in verify.SUITES]
     lines = [f"verify {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
@@ -286,19 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> bool:
-    """Write text to out_path (stdout without one); False if it cannot be written."""
-    if not out_path:
-        sys.stdout.write(text)
-        return True
-    try:
-        Path(out_path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -314,7 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
-    if not _emit(text, args.out):
+    try:
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 3
     return report.code
 

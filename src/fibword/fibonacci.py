@@ -16,8 +16,11 @@ from fractions import Fraction
 
 from .words import BINARY, Morphism, Word
 
-#: Generating words longer than this is refused up front.
-SIZE_GUARD = 2**31
+#: Generating words longer than this is refused up front: `fibword generate` peaks at
+#: about 3 bytes per symbol in every form (3.0-3.1 at 10**8 symbols, 2-CPU VM, Python
+#: 3.11), so ~1.6 GB at the guard.
+SIZE_GUARD = 2**29
+_SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
 
 #: Largest index where the double-precision Binet form still identifies
 #: the exact integer.
@@ -45,14 +48,15 @@ def golden_ratio_bounds(digits: int = 40) -> tuple[Fraction, Fraction]:
     return Fraction(r + scale, 2 * scale), Fraction(r + 1 + scale, 2 * scale)
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    # (F_n, F_{n+1}) with F_0 = 0, by fast doubling.
+def _fib_pair(n: int, k: int = 1) -> tuple[int, int]:
+    # (F_n, F_{n+1}) of F_{m+1} = k*F_m + F_{m-1}, F_0 = 0, F_1 = 1, by fast doubling:
+    # F_{2m} = F_m (2 F_{m+1} - k F_m), F_{2m+1} = F_m^2 + F_{m+1}^2.
     if n == 0:
         return (0, 1)
-    a, b = _fib_pair(n >> 1)
-    c = a * ((b << 1) - a)
+    a, b = _fib_pair(n >> 1, k)
+    c = a * ((b << 1) - k * a)
     d = a * a + b * b
-    return (d, c + d) if n & 1 else (c, d)
+    return (d, k * d + c) if n & 1 else (c, d)
 
 
 def fib(n: int) -> int:
@@ -78,14 +82,11 @@ def fib_binet(n: int) -> float:
 def k_fib(k: int, n: int) -> int:
     """k-Fibonacci number: F_{k,0} = 0, F_{k,1} = 1,
     F_{k,n+1} = k*F_{k,n} + F_{k,n-1}.  k = 1 is the ordinary sequence."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    a, b = 0, 1  # F_{k,0}, F_{k,1}
-    for _ in range(n):
-        a, b = b, k * b + a
-    return a
+    return _fib_pair(n, k)[0]
 
 
 def k_fib_ratio(k: int, n: int) -> float:
@@ -124,7 +125,7 @@ REFERENCE_SEEDS = FibSeeds(Word(BINARY, "1"), Word(BINARY, "10"))
 def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     """n-th word of the recurrence w_n = w_{n-1} w_{n-2} from the seeds.
 
-    Under the default seeds |w_n| = F_n.  Growth past 2**31 symbols is
+    Under the default seeds |w_n| = F_n.  Growth past SIZE_GUARD symbols is
     refused before any allocation happens.  w_n = h(phi^(n-2)(0)) for n >= 2,
     where phi = FIBONACCI_MORPHISM and h maps 1, 0 to the first, second seed.
     """
@@ -134,7 +135,7 @@ def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     for _ in range(n - 1):
         size, after = after, size + after
         if size > SIZE_GUARD:
-            raise ValueError(f"word would exceed the {SIZE_GUARD}-symbol guard")
+            raise ValueError(f"word would {_SIZE_REFUSAL}")
     if n == 1:
         return seeds.first
     images = {"0": seeds.second.text, "1": seeds.first.text}
@@ -149,7 +150,7 @@ def infinite_prefix(length: int) -> Word:
     if length < 0:
         raise ValueError("prefix length must be nonnegative")
     if length > SIZE_GUARD:
-        raise ValueError(f"prefix would exceed the {SIZE_GUARD}-symbol guard")
+        raise ValueError(f"prefix would {_SIZE_REFUSAL}")
     return Word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
 
 

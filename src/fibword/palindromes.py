@@ -23,6 +23,7 @@ SP_COUNT_GUARD = 10**4
 
 #: pal_factors builds every factor as a string, so it refuses words whose factors
 #: total more characters: Fibonacci prefixes past 16,509 symbols, or a^n past 14,141.
+#: The tree stops at the first symbol that takes the running total past it.
 PAL_FACTORS_GUARD = 10**8
 
 
@@ -61,7 +62,7 @@ def _pal_factor_strings(text: str) -> list[str]:
     """
     lens, links, starts = [-1, 0], [0, 0], [0, 0]
     edges: dict[int, int] = {}
-    last = 1  # the longest palindromic suffix read so far
+    last, total = 1, 0  # the longest palindromic suffix read so far; the node lengths' sum
     for pos, ch in enumerate(text):
         v = last
         while (i := pos - lens[v] - 1) < 0 or text[i] != ch:
@@ -75,12 +76,12 @@ def _pal_factor_strings(text: str) -> list[str]:
             last = edges[key] = len(lens)
             lens.append(lens[v] + 2)
             starts.append(i)
-    total = sum(lens) + 1  # the roots add -1
-    if total > PAL_FACTORS_GUARD:
-        raise ValueError(
-            f"pal_factors is limited to {PAL_FACTORS_GUARD} characters of factors in all; "
-            f"this word's palindromic factors total {total}"
-        )
+            total += lens[-1]
+            if total > PAL_FACTORS_GUARD:
+                raise ValueError(
+                    f"pal_factors is limited to {PAL_FACTORS_GUARD} characters of factors in all; "
+                    f"the palindromic factors of this word's first {pos + 1} symbols total {total}"
+                )
     return [text[s : s + n] for s, n in zip(starts[2:], lens[2:])]
 
 

@@ -87,8 +87,6 @@ class Word:
     __slots__ = ("alphabet", "text")
 
     def __init__(self, alphabet: Alphabet, text: str = ""):
-        if not isinstance(text, str):
-            text = "".join(text)
         if foreign := text.translate(alphabet._delete):
             raise ValueError(f"symbols {sorted(set(foreign))!r} not in {alphabet!r}")
         self.alphabet = alphabet
@@ -96,9 +94,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.text)
-
-    def __bool__(self) -> bool:
-        return bool(self.text)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.text)
@@ -193,8 +188,6 @@ class Morphism:
         if w.alphabet != self.domain:
             raise ValueError("word is not over the morphism's domain")
         return Word(self.codomain, w.text.translate(self._table))
-
-    __call__ = apply
 
     def __repr__(self) -> str:
         rules = ", ".join(f"{s}->{img.text}" for s, img in self.images.items())

@@ -1,5 +1,7 @@
 """The command-line front end: outputs, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fibword.cli as cli
 from fibword.cli import main
@@ -57,7 +61,9 @@ def test_generate_far_past_the_guard_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "generate", "--n", "1000000000")
     assert code == 3
     assert out == ""
-    assert err == "error: word would exceed the 2147483648-symbol guard\n"
+    assert err == (
+        "error: word would exceed the 536870912-symbol guard (about 3 bytes of memory per symbol)\n"
+    )
 
 
 def test_density_json_matches_contract(capsys):
@@ -115,18 +121,23 @@ def test_density_infinite_k_is_domain_error(capsys):
 
 
 def test_density_routes_that_disagree_are_exit_3():
-    # A subprocess, so that a warning printed by the integrator would show on stderr.
-    argv = ["density", "--a", "0", "--b", "1", "--k", "1e-300", "--tau", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fibword.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: integral routes disagree: quadrature 282.959")
-    assert "closed form 9.999999999999999e+299" in proc.stderr
-    assert proc.stderr.endswith(" > 1e-09\n")
-    assert proc.stderr.count("\n") == 1
+    cases = [
+        (["--k", "1e-300", "--tau", "1"], "282.959", "closed form 9.999999999999999e+299"),
+        # 1/tau overflows to inf, so the closed form reads inf * 0 = nan
+        (["--k", "1", "--tau", "1e-320", "--format", "json"], "0.0,", "closed form nan, relative gap nan"),
+    ]
+    for tail, quadrature, closed in cases:
+        # A subprocess, so that a warning printed by the integrator would show on stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibword.cli", "density", "--a", "0", "--b", "1", *tail],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, tail
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: integral routes disagree: quadrature {quadrature}")
+        assert closed in proc.stderr
+        assert proc.stderr.endswith(" > 1e-09\n")
+        assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -380,12 +391,15 @@ def test_memory_error_is_exit_3(capsys, monkeypatch):
 
 _SCIPY_PROBE = """
 import io, sys, contextlib
-import fibword, fibword.cli
+import fibword
+assert not [m for m in sys.modules if m.startswith("fibword.")], "import fibword loaded a submodule"
+import fibword.cli
 for argv in (["generate", "--n", "6"], ["palindromes", "--pattern", "abaa"],
              ["curve", "--n-max", "10"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert fibword.cli.main(argv) == 0, argv
 assert "scipy" not in sys.modules, "scipy loaded outside the integral model"
+assert not {"fibword.verify", "fibword.oracle"} & set(sys.modules), "verify's suites loaded outside verify"
 from fibword.density import IntegralParams, integral_density
 r = integral_density(IntegralParams(0, 1, 1, 1))
 assert "scipy" in sys.modules
@@ -399,3 +413,93 @@ def test_scipy_loads_only_for_the_integral_model():
         [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _mostly(good, bad):
+    """good about seven times in eight, else bad."""
+    return st.integers(0, 7).flatmap(lambda i: good if i < 7 else bad)
+
+
+def _int_flag(lo, hi, refused=()):
+    """A small int, or else a value past a guard (refused before any allocation) or a non-int."""
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from([*map(str, refused), "x", ""]))
+
+
+def _flag_sets(flags, *modes):
+    """The flags of one mode of a command, or any subset of its flags."""
+    return st.one_of(
+        *(st.fixed_dictionaries({f: flags[f] for f in mode}) for mode in modes),
+        st.fixed_dictionaries({}, optional=flags),
+    )
+
+
+_FLOAT = _mostly(
+    st.sampled_from(["0", "0.5", "1", "2", "200", "-1", "1e-300", "1e-320", "1e300", "nan", "inf"]),
+    st.sampled_from(["-inf", "x"]),
+)
+_PATTERN = _mostly(st.text("01ab", max_size=8), st.just("ab" * 5001))
+_GENERATE = {"--n": _int_flag(-2, 25, [10**9]), "--length": _int_flag(-2, 2000, [2**29 + 1]),
+             "--seeds": st.text("01,a", max_size=6)}
+_DENSITY = {"--pattern": _PATTERN, "--prefix": _int_flag(-2, 2000, [2**29 + 1]),
+            "--a": _FLOAT, "--b": _FLOAT, "--k": _FLOAT, "--tau": _FLOAT}
+_CURVE = {"--kind": _mostly(st.sampled_from(["ratio", "letter"]), st.just("x")),
+          "--letter": _mostly(st.sampled_from("01"), st.just("2")),
+          "--n-max": _int_flag(-2, 300, [10**4 + 1, 10**6 + 1])}
+_PALINDROMES = {"--pattern": _PATTERN, "--prefix": _int_flag(-2, 500, [2**29 + 1]),
+                "--length": _int_flag(-2, 10)}
+_SQUAREFREE = {"--length": _int_flag(-2, 8, [21]), "--alphabet": _mostly(st.sampled_from("23"), st.just("4")),
+               "--n-max": _int_flag(-2, 12, [21])}
+_FUZZY = {"--n": _int_flag(-2, 12, [31]), "--mu-a": _FLOAT, "--mu-b": _FLOAT}
+# Every command but verify (about a second per run, and pinned by the golden file), with
+# admitted sizes capped well below what would allocate much.
+_COMMANDS = {
+    "generate": _flag_sets(_GENERATE, ["--n"], ["--n", "--seeds"], ["--length"]),
+    "density": _flag_sets(_DENSITY, ["--pattern", "--prefix"], ["--a", "--b", "--k", "--tau"]),
+    "curve": _flag_sets(_CURVE, ["--kind", "--letter", "--n-max"]),
+    "palindromes": _flag_sets(_PALINDROMES, ["--pattern"], ["--prefix", "--length"]),
+    "scattered": _flag_sets({"--pattern": _PATTERN}, ["--pattern"]),
+    "squarefree": _flag_sets(_SQUAREFREE, ["--length", "--alphabet"], ["--n-max"]),
+    "catalan": _flag_sets({"--n-max": _int_flag(-2, 40, [201])}, ["--n-max"]),
+    "fuzzy": _flag_sets(_FUZZY, ["--n", "--mu-a", "--mu-b"]),
+    "reproduce-3-2": st.just({}),
+}
+_COMMON = {"--format": _mostly(st.sampled_from(["text", "csv", "json"]), st.just("yaml")),
+           "--out": st.sampled_from(["file", "missing-dir", "dir"])}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = {**draw(_COMMANDS[command]), **draw(st.fixed_dictionaries({}, optional=_COMMON))}
+    junk = draw(_mostly(st.just([]), st.sampled_from([["--bogus"], ["stray"]])))
+    return [command, *(token for flag in flags.items() for token in flag), *junk]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+# edges too rare to be drawn: the routes disagree by a NaN, or a float overflows
+@example(["density", "--a", "0", "--b", "1", "--k", "1", "--tau", "1e-320", "--format", "json"])
+@example(["density", "--a", "0", "--b", "inf", "--k", "170", "--tau", "1e-300", "--format", "json"])
+@example(["density", "--a", "0", "--b", "1", "--k", "200", "--tau", "1", "--format", "json"])
+def test_cli_contract_holds_for_drawn_argv(tmp_path_factory, argv):
+    base = tmp_path_factory.getbasetemp()
+    paths = {"file": base / "report.out", "missing-dir": base / "missing" / "report.out", "dir": base}
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(paths[argv[i]])
+        paths["file"].unlink(missing_ok=True)  # left by an earlier example
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 for bad flags, 0 for --help
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0 and argv[argv.index("--format") + 1 if "--format" in argv else 0] == "json":
+        text = paths["file"].read_text("utf-8") if "--out" in argv else stdout.getvalue()
+        json.loads(text, parse_constant=_reject_constant)

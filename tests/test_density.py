@@ -263,16 +263,21 @@ def test_integral_dual_paths_agree_on_grid():
 
 
 def test_integral_refuses_routes_that_disagree():
-    # k = 1e-300 puts a pole at 0 that quadrature cannot resolve: it returns
-    # 282.96 against the closed form Gamma(k) = 1e300.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the integrator's warning must not escape
-        with pytest.raises(ValueError) as err:
-            integral_density(IntegralParams(a=0.0, b=1.0, k=1e-300, tau=1.0))
-    message = str(err.value)
-    assert message.startswith("integral routes disagree: quadrature 282.959")
-    assert "closed form 9.999999999999999e+299" in message
-    assert message.endswith("relative gap 1 > 1e-09")
+    cases = [
+        # k = 1e-300 puts a pole at 0 that quadrature cannot resolve: it returns
+        # 282.96 against the closed form Gamma(k) = 1e300.
+        (1e-300, 1.0, "quadrature 282.959", "closed form 9.999999999999999e+299, relative gap 1 > 1e-09"),
+        # 1/tau overflows to inf, so the closed form reads inf * 0 = nan: a NaN gap is refused too
+        (1.0, 1e-320, "quadrature 0.0,", "closed form nan, relative gap nan > 1e-09"),
+    ]
+    for k, tau, start, end in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the integrator's warning must not escape
+            with pytest.raises(ValueError) as err:
+                integral_density(IntegralParams(a=0.0, b=1.0, k=k, tau=tau))
+        message = str(err.value)
+        assert message.startswith(f"integral routes disagree: {start}")
+        assert message.endswith(end)
 
 
 def test_integral_orientation_flips_sign():

@@ -140,14 +140,14 @@ def test_fib_word_guards():
         fib_word(0)
     with pytest.raises(ValueError):
         fib_word(60)  # fib(60) ~ 1.5e12 symbols
-    # The smallest refused indices: F_47 > 2**31 >= F_46, and under the
+    # The smallest refused indices: F_44 > 2**29 >= F_43, and under the
     # reference seeds |w_n| = F_(n+1).  Admitted indices near the guard
     # would allocate gigabytes, so none is called here.
-    assert fib(47) > SIZE_GUARD >= fib(46)
+    assert fib(44) > SIZE_GUARD >= fib(43)
     with pytest.raises(ValueError, match="guard"):
-        fib_word(47)
+        fib_word(44)
     with pytest.raises(ValueError, match="guard"):
-        fib_word(46, REFERENCE_SEEDS)
+        fib_word(43, REFERENCE_SEEDS)
     # The length loop stops at the guard and never reaches F_(10**9).
     with pytest.raises(ValueError, match="guard"):
         fib_word(10**9)

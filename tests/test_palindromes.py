@@ -222,7 +222,8 @@ def test_pal_factors_match_oracle():
 
 def test_pal_factors_refuses_words_past_the_character_guard():
     # a^n has the n factors a..a^n, n(n+1)/2 characters in all.
-    with pytest.raises(ValueError, match=r"limited to 100000000 .* total 112507500$"):
+    # The tree stops at the first symbol whose factors pass the limit: 14142 * 14143 / 2.
+    with pytest.raises(ValueError, match=r"limited to 100000000 .* first 14142 symbols total 100005153$"):
         pal_factors(AB.word("a" * 15000))
 
 
