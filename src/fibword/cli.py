@@ -2,8 +2,8 @@
 
 Every command returns one Report; main renders it as text, CSV, or JSON to
 stdout or to --out.  Output is deterministic.  Exit codes: 0 success,
-2 usage error, 3 domain/guard error, out of memory or an --out path that
-cannot be written, 1 verification mismatch.
+2 usage error, 3 domain/guard error, out of memory or output that cannot
+be encoded or written, 1 verification mismatch.
 """
 
 from __future__ import annotations
@@ -289,20 +289,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.handler(args)
         text = report.render(args.format)
+        if args.out:  # encoded first, so text that cannot be encoded leaves no file
+            Path(args.out).write_bytes(text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a UnicodeEncodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
-    try:
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
     except OSError as exc:
         print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 3

@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import BINARY, Morphism, Word
-
-#: Generating words longer than this is refused up front: `fibword generate` peaks at
-#: about 3 bytes per symbol in every form (3.0-3.1 at 10**8 symbols, 2-CPU VM, Python
-#: 3.11), so ~1.6 GB at the guard.
-SIZE_GUARD = 2**29
-_SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
+from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _unchecked_word
 
 #: Largest index where the double-precision Binet form still identifies
 #: the exact integer.
@@ -141,17 +135,13 @@ def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     images = {"0": seeds.second.text, "1": seeds.first.text}
     for _ in range(n - 2):
         images = FIBONACCI_MORPHISM._step(images)
-    return Word(seeds.first.alphabet, images["0"])
+    return _unchecked_word(seeds.first.alphabet, images["0"])
 
 
 def infinite_prefix(length: int) -> Word:
     """First `length` symbols of the fixed point of 0 -> 01, 1 -> 0
     starting from 0."""
-    if length < 0:
-        raise ValueError("prefix length must be nonnegative")
-    if length > SIZE_GUARD:
-        raise ValueError(f"prefix would {_SIZE_REFUSAL}")
-    return Word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
+    return _unchecked_word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
 
 
 def _floor_mult_phi(n: int) -> int:

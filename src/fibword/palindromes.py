@@ -103,6 +103,8 @@ def _sp_prefix_counts(s: str) -> list[int]:
     row 0 is SP of every nonempty prefix.
     """
     n = len(s)
+    if n > SP_COUNT_GUARD:
+        raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
     prev_same = []  # prev_same[j]: the previous occurrence of s[j], or -1
     last: dict[str, int] = {}
     for j, c in enumerate(s):
@@ -137,15 +139,9 @@ def _sp_count_text(s: str) -> int:
     return _sp_prefix_counts(s)[-1]
 
 
-def _check_sp_guard(n: int) -> None:
-    if n > SP_COUNT_GUARD:
-        raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
-
-
 def sp_count(w: Word) -> int:
     """Number of distinct nonempty palindromic subsequences of w, by
     interval dynamic programming with exact big integers."""
-    _check_sp_guard(len(w))
     return _sp_count_text(w.text)
 
 
@@ -153,7 +149,6 @@ def sp_delta(w: Word, symbol: str) -> int:
     """How many new scattered palindromic subsequences appending `symbol`
     to w creates: SP(w·a) - SP(w), read off one pass over w·a."""
     extended = w + Word(w.alphabet, symbol)
-    _check_sp_guard(len(extended))
     counts = _sp_prefix_counts(extended.text)
     return counts[-1] - counts[len(w)]
 

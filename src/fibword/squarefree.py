@@ -25,7 +25,6 @@ _DELTA_RUNS = {img.text[1:]: c for c, img in DELTA_MORPHISM.images.items()}  # b
 
 _SQUARE_FREE_ALPHABETS = {2: AB, 3: ABC}
 ENUMERATION_GUARD = 20
-THUE_MORSE_GUARD = 2**20
 REPETITION_GUARD = 2**16
 
 
@@ -108,11 +107,7 @@ def brandenburg_table(n_max: int) -> list[BoundRow]:
 
 def thue_morse_prefix(length: int) -> Word:
     """First `length` symbols of the Thue-Morse fixed point from 0."""
-    if length < 0:
-        raise ValueError("prefix length must be nonnegative")
-    if length > THUE_MORSE_GUARD:
-        raise ValueError(f"prefix is limited to {THUE_MORSE_GUARD} symbols")
-    return Word(BINARY, THUE_MORSE_MORPHISM.fixed_point_prefix("0", length))
+    return _unchecked_word(BINARY, THUE_MORSE_MORPHISM.fixed_point_prefix("0", length))
 
 
 def _has_ones_run(z: int, k: int) -> bool:

@@ -11,6 +11,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Union
 
+#: Morphism.fixed_point_prefix (and fib_word) refuse more symbols than this.  Peak RSS past
+#: the import is 3.3-3.5 bytes per symbol for infinite_prefix and 3.0 for thue_morse_prefix
+#: at 2**24 and 2**26 symbols (2-CPU VM, Python 3.11), so ~1.6-1.9 GB at the guard.
+SIZE_GUARD = 2**29
+_SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
+
 
 class Alphabet:
     """An ordered set of distinct single-character symbols.
@@ -137,24 +143,14 @@ class Morphism:
 
     __slots__ = ("domain", "codomain", "images", "_table")
 
-    def __init__(
-        self,
-        domain: Alphabet,
-        codomain: Alphabet,
-        images: Mapping[str, Union[str, Word]],
-    ):
+    def __init__(self, domain: Alphabet, codomain: Alphabet, images: Mapping[str, str]):
         resolved: dict[str, Word] = {}
         for sym in domain.symbols:
             if sym not in images:
                 raise ValueError(f"no image defined for symbol {sym!r}")
-            img = images[sym]
-            if isinstance(img, str):
-                img = Word(codomain, img)
-            elif img.alphabet != codomain:
-                raise ValueError(f"image of {sym!r} is not over the codomain")
-            if len(img) == 0:
+            if not images[sym]:
                 raise ValueError(f"image of {sym!r} must be nonempty")
-            resolved[sym] = img
+            resolved[sym] = Word(codomain, images[sym])
         extra = set(images) - set(domain.symbols)
         if extra:
             raise ValueError(f"images given for symbols outside the domain: {sorted(extra)!r}")
@@ -173,6 +169,10 @@ class Morphism:
         prefix of the fixed point when the image of `seed` starts with it."""
         if self.codomain != self.domain or seed not in self.domain:
             raise ValueError(f"cannot iterate {self!r} from {seed!r}")
+        if length < 0:
+            raise ValueError("prefix length must be nonnegative")
+        if length > SIZE_GUARD:
+            raise ValueError(f"prefix would {_SIZE_REFUSAL}")
         images = {c: c for c in self.domain.symbols}
         idle = 0  # steps without growth; len(domain) in a row mean it never grows again
         while len(images[seed]) < length:
@@ -187,7 +187,7 @@ class Morphism:
         """Symbolwise image concatenation, order preserved."""
         if w.alphabet != self.domain:
             raise ValueError("word is not over the morphism's domain")
-        return Word(self.codomain, w.text.translate(self._table))
+        return _unchecked_word(self.codomain, w.text.translate(self._table))
 
     def __repr__(self) -> str:
         rules = ", ".join(f"{s}->{img.text}" for s, img in self.images.items())

@@ -356,6 +356,25 @@ def test_out_write_failure_is_exit_3(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+def test_unencodable_stdout_is_exit_3():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run([sys.executable, "-m", "fibword.cli", "palindromes", "--pattern", "\u00e9a"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: 'ascii' codec can't encode")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_unencodable_out_is_exit_3_and_leaves_no_file(tmp_path, capsys):
+    path = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "scattered", "--pattern", "\udcff", "--out", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't encode") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -437,7 +456,7 @@ _FLOAT = _mostly(
     st.sampled_from(["0", "0.5", "1", "2", "200", "-1", "1e-300", "1e-320", "1e300", "nan", "inf"]),
     st.sampled_from(["-inf", "x"]),
 )
-_PATTERN = _mostly(st.text("01ab", max_size=8), st.just("ab" * 5001))
+_PATTERN = _mostly(st.text("01ab\u00e9\udcff", max_size=8), st.just("ab" * 5001))
 _GENERATE = {"--n": _int_flag(-2, 25, [10**9]), "--length": _int_flag(-2, 2000, [2**29 + 1]),
              "--seeds": st.text("01,a", max_size=6)}
 _DENSITY = {"--pattern": _PATTERN, "--prefix": _int_flag(-2, 2000, [2**29 + 1]),

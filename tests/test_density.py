@@ -297,6 +297,8 @@ def test_integral_parameter_validation():
         IntegralParams(a=math.inf, b=1.0, k=1.0, tau=1.0)
     with pytest.raises(ValueError, match="k must be finite"):
         IntegralParams(a=0.0, b=1.0, k=math.inf, tau=1.0)
+    with pytest.raises(ValueError, match="b must be nonnegative"):
+        IntegralParams(a=0.0, b=-1.0, k=1.0, tau=1.0)
 
 
 def test_integral_admits_infinite_tau():

@@ -172,6 +172,8 @@ def test_infinite_prefix_values():
     assert infinite_prefix(10).text == "0100101001"
     with pytest.raises(ValueError):
         infinite_prefix(-1)
+    with pytest.raises(ValueError, match="symbol guard"):
+        infinite_prefix(SIZE_GUARD + 1)
 
 
 def test_infinite_prefix_equals_recurrence_word():

@@ -19,7 +19,7 @@ from fibword.squarefree import (
     square_free_count,
     thue_morse_prefix,
 )
-from fibword.words import AB, ABC, BINARY, Alphabet, Word
+from fibword.words import AB, ABC, BINARY, SIZE_GUARD, Alphabet, Word
 
 #: Ternary counts s(1)..s(12), re-derived by the oracle below and pinned.
 TERNARY_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
@@ -176,8 +176,10 @@ def test_thue_morse_prefixes():
     assert thue_morse_prefix(0).text == ""
     assert thue_morse_prefix(4).text == "0110"
     assert thue_morse_prefix(8).text == "01101001"
-    with pytest.raises(ValueError):
-        thue_morse_prefix(2**20 + 1)
+    with pytest.raises(ValueError, match="symbol guard"):
+        thue_morse_prefix(SIZE_GUARD + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        thue_morse_prefix(-1)
 
 
 def _naive_overlap_scan(text: str) -> bool:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from fibword import oracle
 from fibword.fibonacci import FIBONACCI_MORPHISM, infinite_prefix
-from fibword.squarefree import DELTA_MORPHISM, thue_morse_prefix
+from fibword.squarefree import DELTA_MORPHISM, THUE_MORSE_MORPHISM, thue_morse_prefix
 from fibword.words import (
     AB,
     ABC,
     BINARY,
+    SIZE_GUARD,
     Alphabet,
     Morphism,
     Word,
@@ -135,6 +136,9 @@ def test_fixed_point_prefix():
         FIBONACCI_MORPHISM.fixed_point_prefix("a", 5)  # seed outside the domain
     with pytest.raises(ValueError):
         DELTA_MORPHISM.fixed_point_prefix("a", 5)  # codomain is not the domain
+    for morphism in (FIBONACCI_MORPHISM, THUE_MORSE_MORPHISM):  # refused before allocating
+        with pytest.raises(ValueError, match=f"exceed the {SIZE_GUARD}-symbol guard"):
+            morphism.fixed_point_prefix("0", SIZE_GUARD + 1)
 
 
 def test_fixed_point_prefix_matches_repeated_apply():
