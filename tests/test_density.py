@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import oracle
 from fibword.cli import main
@@ -248,6 +250,16 @@ def test_integral_analytic_case():
     result = integral_density(IntegralParams(a=0.0, b=math.inf, k=1.0, tau=1.0))
     assert abs(result.quadrature - 0.5) < 1e-12
     assert abs(result.closed_form - 0.5) < 1e-12
+    # Gamma(70) / 2**70, once refused because the integrand's x ** 69 overflowed a float; for k = 1
+    # (exp(-lam a) - exp(-lam b)) / lam, whose tails once cancelled to a refusal or to 0.0.
+    cases = [((0.0, math.inf, 70.0, 1.0), math.gamma(70) / 2**70)]
+    for a, b, tau in ((2.0, math.inf, 0.1), (3.0, 6.0, 0.05), (0.0, 2.0, 1.0), (1.0, 3.0, 0.5)):
+        lam = 1.0 + 1.0 / tau
+        cases.append(((a, b, 1.0, tau), (math.exp(-lam * a) - math.exp(-lam * b)) / lam))
+    for (a, b, k, tau), truth in cases:
+        r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))
+        assert abs(r.quadrature - truth) <= 1e-12 * truth, (a, b, k, tau)
+        assert abs(r.closed_form - truth) <= 1e-12 * truth, (a, b, k, tau)
 
 
 def test_integral_degenerate_interval():
@@ -265,8 +277,8 @@ def test_integral_dual_paths_agree_on_grid():
 def test_integral_refuses_routes_that_disagree():
     cases = [
         # k = 1e-300 puts a pole at 0 that quadrature cannot resolve: it returns
-        # 282.96 against the closed form Gamma(k) = 1e300.
-        (1e-300, 1.0, "quadrature 282.959", "closed form 9.999999999999999e+299, relative gap 1 > 1e-09"),
+        # 706.32 against the closed form Gamma(k) = 1e300.
+        (1e-300, 1.0, "quadrature 706.316", "closed form 9.999999999999999e+299, relative gap 1 > 1e-09"),
         # 1/tau overflows to inf, so the closed form reads inf * 0 = nan: a NaN gap is refused too
         (1.0, 1e-320, "quadrature 0.0,", "closed form nan, relative gap nan > 1e-09"),
     ]
@@ -278,6 +290,44 @@ def test_integral_refuses_routes_that_disagree():
         message = str(err.value)
         assert message.startswith(f"integral routes disagree: {start}")
         assert message.endswith(end)
+
+
+def _check_routes_against_mpmath(a, b, k, tau):
+    mpmath = pytest.importorskip("mpmath")
+
+    def model(lam):  # the oriented integral of x**(k-1) exp(-lam x) from a to b
+        return mpmath.gammainc(k, lam * a, lam * mpmath.mpf(b)) / lam**k
+
+    r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))  # a refusal fails the test
+    with mpmath.workdps(40):
+        exact = float(model(1 + 1 / mpmath.mpf(tau)))
+        # The estimate bounds the integration error of the integrand evaluated, whose lam is
+        # the double 1.0 + 1.0/tau; the rounding of the returned double comes on top.
+        as_evaluated = model(mpmath.mpf(1.0 + 1.0 / tau))
+        quadrature_error = float(abs(r.quadrature - as_evaluated))
+    for route in (r.quadrature, r.closed_form):
+        assert abs(route - exact) <= 1e-12 * max(abs(exact), 1e-300), (route, exact)
+    assert quadrature_error <= r.quadrature_error + math.ulp(float(as_evaluated))
+
+
+def test_integral_routes_match_mpmath():
+    # verify's grid, the golden inputs, and inputs once refused (an overflow, two tail cancellations)
+    cases = [(a, b, k, tau) for k, tau, a, b in GRID]
+    cases += [(0.0, math.inf, 1.0, 1.0), (1.0, 3.0, 2.0, 0.5)]
+    cases += [(0.0, math.inf, 70.0, 1.0), (2.0, math.inf, 1.0, 0.1), (3.0, 6.0, 1.0, 0.05)]
+    for a, b, k, tau in cases:
+        _check_routes_against_mpmath(a, b, k, tau)
+
+
+@settings(deadline=None)
+@given(
+    st.floats(0, 20),
+    st.one_of(st.floats(0, 40), st.just(math.inf)),
+    st.floats(0.05, 60),
+    st.floats(0.01, 100),
+)
+def test_integral_routes_match_mpmath_on_drawn_inputs(a, b, k, tau):
+    _check_routes_against_mpmath(a, b, k, tau)
 
 
 def test_integral_orientation_flips_sign():
