@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import accumulate, count, repeat, takewhile
+from functools import cache
+from itertools import accumulate, count, repeat
 from operator import add
 
 from .fibonacci import PHI, fib, infinite_prefix
@@ -156,67 +156,116 @@ class IntegralResult:
     quadrature_error: float
 
 
+_EPS = math.ulp(1.0)
+
+
 @cache
 def _de_nodes(level: int, infinite: bool, sign: int) -> tuple[tuple[float, float], ...]:
-    """(offset, weight / (pi/2)) of the nodes step 2**-level adds at sign * t > 0 (t = 0 if sign < 0),
-    outwards; u = pi/2 sinh t: exp-sinh x = a + exp(sign u), tanh-sinh offset 1 - tanh(u) = 2e/(1 + e)."""
-    ts = [j / 2**level for j in range(level > 0 or sign > 0, 7 * 2**level, 1 + (level > 0))]
-    if infinite:
-        return tuple((s := math.exp(min(sign * math.pi / 2 * math.sinh(t), 700.0)), math.cosh(t) * s)
-                     for t in ts)
-    return tuple((2 * (e := math.exp(-math.pi * math.sinh(t))) / (1 + e),
-                  4 * math.cosh(t) * e / (1 + e) ** 2) for t in ts)
+    """(offset, weight / (pi/2)) of the nodes that step 2**-level adds on one side of t = 0,
+    outwards: at sign * t > 0, and at t = 0 on the side sign < 0.  With u = pi/2 sinh t,
+    exp-sinh puts x at a + exp(sign u), tanh-sinh 1 - tanh(u) = 2e/(1 + e) from an end,
+    e = exp(-2u)."""
+    first = 1 if level or sign > 0 else 0
+    nodes = []
+    for j in range(first, 7 * 2**level, 2 if level else 1):
+        t = j / 2**level
+        if infinite:
+            x = math.exp(min(sign * math.pi / 2 * math.sinh(t), 700.0))
+            nodes.append((x, math.cosh(t) * x))
+        else:
+            e = math.exp(-math.pi * math.sinh(t))
+            nodes.append((2 * e / (1 + e), 4 * math.cosh(t) * e / (1 + e) ** 2))
+    return tuple(nodes)
 
 
 def _quad(log_f, a: float, b: float) -> tuple[float, float]:
     """The integral of exp(log_f(x)) over [a, b], a < b <= inf, and an error estimate, by
-    double-exponential quadrature (Takahasi & Mori, Publ. RIMS 9, 1974).  The step halves until
-    two levels agree within the rounding floor: 50 eps per term as in QUADPACK, plus the eps |log f|
-    exp inherits.  Each side of t = 0 walks outwards until its terms fall and are negligible, or x
-    is within 1e-307 of its end (so log_f < 709 for k > 0); the estimate adds the last term then."""
-    infinite = math.isinf(b)
-    sides = ((a, 1.0, -1), (a, 1.0, 1)) if infinite else ((a, r := (b - a) / 2, -1), (b, -r, 1))
+    double-exponential quadrature (Takahasi & Mori, Publ. RIMS 9, 1974).
+
+    The step halves until two levels agree within the rounding floor: 50 eps per term as in
+    QUADPACK, plus the 2 eps |log f| that exp inherits from the few roundings of log f.  Each
+    side of t = 0 walks outwards until its terms fall and are negligible, or x is within 1e-307
+    of its end (so log_f < 709 for k > 0); the estimate adds the last term then.
+    """
+    half = (b - a) / 2
+    sides = ((a, 1.0, -1), (a, 1.0, 1)) if math.isinf(b) else ((a, half, -1), (b, -half, 1))
     terms, floor, old = [], 0.0, math.inf
     for level in range(10):
         cut = 0.0
         for end, scale, sign in sides:  # x = end + scale * offset
             last, width = 0.0, abs(scale) * math.pi / 2
-            for offset, weight in _de_nodes(level, infinite, sign):
+            for offset, weight in _de_nodes(level, math.isinf(b), sign):
                 if not 1e-307 < width * offset or offset > 1e300:  # so is every later offset
                     cut = max(cut, last)
                     break
-                y = width * weight * math.exp(e := log_f(end + scale * offset))
+                e = log_f(end + scale * offset)
+                y = width * weight * math.exp(e)
                 terms.append(y)
-                floor += y * (50 + abs(e))
+                floor += y * (50 + 2 * abs(e))
                 if y < last and y * 1e20 < floor:  # negligible: floor > 50 * the sum
                     break
                 last = y
-        value, rounding = math.fsum(terms) / 2**level, math.ulp(1.0) * floor / 2**level
+        try:
+            value = math.fsum(terms) / 2**level
+        except OverflowError:  # a partial sum passes the largest float
+            value = math.inf
+        rounding = _EPS * floor / 2**level
         change, old = abs(value - old), value
         if level > 2 and change <= rounding:
             break
     return value, max(change, rounding) + cut
 
 
-def _gammainc_pq(k: float, x: float) -> tuple[float, float]:
-    """The regularized incomplete gamma functions (P, Q) at k > 0, x >= 0 (Gautschi, ACM TOMS
-    5, 1979): P by its series below x = k + 1, else Q by 100 terms of its continued fraction,
-    summed from the bottom, and the other as 1 minus it.  NaN gives NaN."""
-    if not 0 < x < math.inf:
-        return (0.0, 1.0) if x == 0 else (1.0, 0.0) if x > 0 else (math.nan, math.nan)
-    scale = math.exp(k * math.log(x) - x - math.lgamma(k))  # x**k e**-x / gamma(k)
-    if x < k + 1:  # P = scale * sum of x**i / (k (k+1) ... (k+i)), whose terms fall
-        terms = accumulate(count(1), lambda term, i: term * x / (k + i), initial=1 / k)
-        p = scale * math.fsum(takewhile((math.ulp(1.0) / k).__lt__, terms))
-        return p, 1 - p
-    fraction = reduce(lambda f, i: i * (i - k) / (x + 2 * i + 1 - k - f), range(100, 0, -1), 0.0)
-    return 1 - scale / (x + 1 - k - fraction), scale / (x + 1 - k - fraction)
+def _scaled(k: float, lam: float, x: float, s: float) -> float:
+    """s * x**k * exp(-lam x), in halves: k log x - lam x < 712 for k < 171.7 and lam >= 1, so
+    neither half overflows.  x = 0 gives 0, or NaN when lam is inf."""
+    half = math.exp(((k * math.log(x) if x else -math.inf) - lam * x) / 2)
+    return half * s * half
+
+
+def _lower_piece(k: float, lam: float, x1: float, x2: float) -> float:
+    """gamma(k) lam**-k (P(k, lam x2) - P(k, lam x1)) for 0 <= x1 < x2 <= (k + 1) / lam, by the
+    series P(k, z) = z**k e**-z / gamma(k) * sum of t_i(z) = z**i / (k (k+1) ... (k+i))
+    (Gautschi, ACM TOMS 5, 1979).  Term i of the difference is t_i(z2) (1 - (x1/x2)**(k+i) e**d),
+    d = lam (x2 - x1), through log1p and expm1, so a narrow interval does not cancel."""
+    z, d = lam * x2, lam * (x2 - x1)
+    log_ratio = -math.log1p((x2 - x1) / x1) if x1 else -math.inf  # log(x1 / x2)
+    parts, total, term = [], 0.0, 1 / k
+    for i in count():
+        part = -term * math.expm1((k + i) * log_ratio + d)
+        parts.append(part)
+        total += part
+        # z <= k + 1, so parts i, i+1, ... sum to at most term (k+i)/(i-1) min(1, (k+i) |log_ratio|)
+        if i > 1 and term * (k + i) * min(1.0, (k + i) * -log_ratio) <= _EPS * (i - 1) * abs(total):
+            break
+        term *= z / (k + i + 1)
+    return _scaled(k, lam, x2, math.fsum(parts))
+
+
+def _upper_piece(k: float, lam: float, x1: float, x2: float) -> float:
+    """gamma(k) lam**-k (Q(k, lam x1) - Q(k, lam x2)) for k + 1 <= lam x1 < lam x2 <= inf, by
+    Q(k, z) = z**k e**-z / gamma(k) * f_0(z), f_i = c_i / (z + 2i + 1 - k - f_{i+1}), c_0 = 1,
+    c_i = i (i - k): 100 levels of the continued fraction, summed from the bottom, with the
+    difference f_i(z2) - f_i(z1) alongside, so a narrow interval does not cancel."""
+    z, d = lam * x1, lam * (x2 - x1)
+    f1 = f2 = df = 0.0  # f_i(z), f_i(z + d) and f2 - f1
+    for i in range(100, -1, -1):
+        c, b = i * (i - k) if i else 1.0, 2 * i + 1 - k
+        den1, den2 = z + b - f1, z + d + b - f2
+        f1, f2 = c / den1, c / den2
+        df = (df - d) / den2 * f1  # c (df - d) / (den1 den2), in an order that does not overflow
+    if d == math.inf:  # Q(k, lam x2) is 0
+        return _scaled(k, lam, x1, f1)
+    # Q(z1) - Q(z2) = z1**k e**-z1 / gamma(k) (f1 - r f2), r = (x2/x1)**k e**-d, and
+    # f1 - r f2 = -df + (1 - r) f2
+    return _scaled(k, lam, x1, -df - math.expm1(k * math.log1p(d / z) - d) * f2)
 
 
 def integral_density(params: IntegralParams) -> IntegralResult:
     """Evaluate the integral model by double-exponential quadrature and,
     separately, by the closed form gamma(k) lam**-k (P(k, lam b) - P(k, lam a)),
-    lam = 1 + 1/tau, which subtracts the two Q instead where P is near 1.
+    lam = 1 + 1/tau: the series of P below lam x = k + 1 and the continued
+    fraction of Q above, each over its part of [a, b].
 
     Raises ValueError, with both values, when |quadrature - closed form|
     exceeds 1e-9 * max(|closed form|, 1e-300) or is NaN, and when gamma(k)
@@ -228,15 +277,28 @@ def integral_density(params: IntegralParams) -> IntegralResult:
 
     k = params.k
     try:
-        gamma_k = math.gamma(k)
+        math.gamma(k)  # the model is defined for k whose gamma(k) is a float
     except OverflowError:
         raise ValueError(f"gamma({k!r}) overflows a float") from None
+
+    def integrate(lo: float, hi: float) -> tuple[float, float]:
+        # x = s * y, s a power of two (exact ends): below 1, log s + log y keeps what x would lose
+        s = 2.0 ** min(math.frexp(hi)[1], 0)
+        log_s = math.log(s)
+        return _quad(lambda y: -lam * s * y + (k - 1.0) * math.log(y) + k * log_s, lo / s, hi / s)
+
     lo, hi = sorted((params.a, params.b))
-    log_s = math.log(s := min(hi, 1.0))  # x = s * y: below 1, log s + log y keeps what x would lose
-    value, error = _quad(lambda y: -lam * s * y + (k - 1.0) * math.log(y) + k * log_s, lo / s, hi / s)
-    value = value if params.a < params.b else -value
-    (pa, qa), (pb, qb) = _gammainc_pq(k, lam * params.a), _gammainc_pq(k, lam * params.b)
-    closed = gamma_k * lam ** (-k) * (qa - qb if pa + pb > 1 else pb - pa)
+    if 0 < lo * max(lam, 1 / hi) < 2**-20:  # x**(k-1) may be singular at 0, close below lo
+        (whole, whole_error), (head, head_error) = integrate(0.0, hi), integrate(0.0, lo)
+        value, error = whole - head, whole_error + head_error
+    else:
+        value, error = integrate(lo, hi)
+    mid = min(max(lo, (k + 1) / lam), hi)
+    closed = (_lower_piece(k, lam, lo, mid) if lo < mid else 0.0) + (
+        _upper_piece(k, lam, mid, hi) if mid < hi else 0.0
+    )
+    if params.a > params.b:
+        value, closed = -value, -closed
     gap = abs(value - closed) / max(abs(closed), 1e-300)
     if not gap <= 1e-9:  # a NaN on either route fails this too
         raise ValueError(

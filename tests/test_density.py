@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibword import oracle
@@ -278,7 +278,7 @@ def test_integral_refuses_routes_that_disagree():
     cases = [
         # k = 1e-300 puts a pole at 0 that quadrature cannot resolve: it returns
         # 706.32 against the closed form Gamma(k) = 1e300.
-        (1e-300, 1.0, "quadrature 706.316", "closed form 9.999999999999999e+299, relative gap 1 > 1e-09"),
+        (1e-300, 1.0, "quadrature 706.316", "closed form 1e+300, relative gap 1 > 1e-09"),
         # 1/tau overflows to inf, so the closed form reads inf * 0 = nan: a NaN gap is refused too
         (1.0, 1e-320, "quadrature 0.0,", "closed form nan, relative gap nan > 1e-09"),
     ]
@@ -296,10 +296,15 @@ def _check_routes_against_mpmath(a, b, k, tau):
     mpmath = pytest.importorskip("mpmath")
 
     def model(lam):  # the oriented integral of x**(k-1) exp(-lam x) from a to b
-        return mpmath.gammainc(k, lam * a, lam * mpmath.mpf(b)) / lam**k
+        # A difference of two lower or two upper gammas, as no tail cancels at 60 digits;
+        # mpmath's gammainc(k, z1, z2) reads 0.0 for narrow intervals in the upper tail.
+        z1, z2 = lam * a, lam * mpmath.mpf(b)
+        if min(z1, z2) < k:
+            return (mpmath.gammainc(k, 0, z2) - mpmath.gammainc(k, 0, z1)) / lam**k
+        return (mpmath.gammainc(k, z1) - mpmath.gammainc(k, z2)) / lam**k
 
     r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))  # a refusal fails the test
-    with mpmath.workdps(40):
+    with mpmath.workdps(60):
         exact = float(model(1 + 1 / mpmath.mpf(tau)))
         # The estimate bounds the integration error of the integrand evaluated, whose lam is
         # the double 1.0 + 1.0/tau; the rounding of the returned double comes on top.
@@ -326,6 +331,15 @@ def test_integral_routes_match_mpmath():
     st.floats(0.05, 60),
     st.floats(0.01, 100),
 )
+# a narrow interval (relative width 1e-6) and a subnormal end, both once refused; an end near 0
+@example(13.738, 13.738014, 13.67, 32.0)
+@example(5e-324, 0.0, 0.5, 2.0)
+@example(1.0, 6.406257208443316e-237, 1.0, 1.0)
+# the quadrature: a narrow interval below 1, a subnormal b, and a tiny a above the pole of k < 1
+@example(0.9711759857571778, 0.9711839383946227, 0.2955813586272672, 25.419714314607827)
+@example(0.0, 5e-324, 0.7119072771682641, 34.94700227782895)
+@example(2.426822896184117e-142, 35.83286996135912, 0.090132014665941, 0.12843329974695733)
+@example(1.215844744415506e-130, math.inf, 0.10058233149079322, 0.015258425817592564)
 def test_integral_routes_match_mpmath_on_drawn_inputs(a, b, k, tau):
     _check_routes_against_mpmath(a, b, k, tau)
 
