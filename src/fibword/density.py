@@ -157,59 +157,55 @@ class IntegralResult:
 
 
 _EPS = math.ulp(1.0)
+_FLOOR_SCALE = 2.0**-16  # keeps the rounding floor finite; exact while it stays normal
 
 
 @cache
-def _de_nodes(level: int, infinite: bool, sign: int) -> tuple[tuple[float, float], ...]:
-    """(offset, weight / (pi/2)) of the nodes that step 2**-level adds on one side of t = 0,
-    outwards: at sign * t > 0, and at t = 0 on the side sign < 0.  With u = pi/2 sinh t,
-    exp-sinh puts x at a + exp(sign u), tanh-sinh 1 - tanh(u) = 2e/(1 + e) from an end,
-    e = exp(-2u)."""
+def _de_nodes(level: int, sign: int) -> tuple[tuple[float, float], ...]:
+    """(offset, weight / (pi/2)) of the tanh-sinh nodes that step 2**-level adds on one side of
+    t = 0, outwards: at sign * t > 0, and at t = 0 on the side sign < 0.  With u = pi/2 sinh t, a
+    node lies 1 - tanh(u) = 2e/(1 + e) half-widths from its end, e = exp(-2u)."""
     first = 1 if level or sign > 0 else 0
     nodes = []
     for j in range(first, 7 * 2**level, 2 if level else 1):
         t = j / 2**level
-        if infinite:
-            x = math.exp(min(sign * math.pi / 2 * math.sinh(t), 700.0))
-            nodes.append((x, math.cosh(t) * x))
-        else:
-            e = math.exp(-math.pi * math.sinh(t))
-            nodes.append((2 * e / (1 + e), 4 * math.cosh(t) * e / (1 + e) ** 2))
+        e = math.exp(-math.pi * math.sinh(t))
+        nodes.append((2 * e / (1 + e), 4 * math.cosh(t) * e / (1 + e) ** 2))
     return tuple(nodes)
 
 
 def _quad(log_f, a: float, b: float) -> tuple[float, float]:
-    """The integral of exp(log_f(x)) over [a, b], a < b <= inf, and an error estimate, by
-    double-exponential quadrature (Takahasi & Mori, Publ. RIMS 9, 1974).
+    """The integral of exp(log_f(x)) over the finite [a, b], a <= b, and an error estimate, by
+    tanh-sinh quadrature (Takahasi & Mori, Publ. RIMS 9, 1974).
 
-    The step halves until two levels agree within the rounding floor: 50 eps per term as in
-    QUADPACK, plus the 2 eps |log f| that exp inherits from the few roundings of log f.  Each
-    side of t = 0 walks outwards until its terms fall and are negligible, or x is within 1e-307
-    of its end (so log_f < 709 for k > 0); the estimate adds the last term then.
+    The step halves until two levels agree within the rounding floor (summed times _FLOOR_SCALE):
+    50 eps per term as in QUADPACK, plus the 2 eps |log f| that exp inherits from the few
+    roundings of log f.  Each side of t = 0 walks outwards until its terms fall and are negligible,
+    or x is within 1e-307 of its end (so log_f < 709 for k > 0); the estimate adds the last term.
     """
     half = (b - a) / 2
-    sides = ((a, 1.0, -1), (a, 1.0, 1)) if math.isinf(b) else ((a, half, -1), (b, -half, 1))
+    width = half * math.pi / 2
     terms, floor, old = [], 0.0, math.inf
     for level in range(10):
         cut = 0.0
-        for end, scale, sign in sides:  # x = end + scale * offset
-            last, width = 0.0, abs(scale) * math.pi / 2
-            for offset, weight in _de_nodes(level, math.isinf(b), sign):
-                if not 1e-307 < width * offset or offset > 1e300:  # so is every later offset
+        for end, scale, sign in ((a, half, -1), (b, -half, 1)):  # x = end + scale * offset
+            last = 0.0
+            for offset, weight in _de_nodes(level, sign):
+                if not 1e-307 < width * offset:  # so is every later offset
                     cut = max(cut, last)
                     break
                 e = log_f(end + scale * offset)
                 y = width * weight * math.exp(e)
                 terms.append(y)
-                floor += y * (50 + 2 * abs(e))
-                if y < last and y * 1e20 < floor:  # negligible: floor > 50 * the sum
+                floor += y * (_FLOOR_SCALE * (50 + 2 * abs(e)))
+                if y < last and y * (_FLOOR_SCALE * 1e20) < floor:  # floor > 50 * the sum
                     break
                 last = y
         try:
             value = math.fsum(terms) / 2**level
         except OverflowError:  # a partial sum passes the largest float
             value = math.inf
-        rounding = _EPS * floor / 2**level
+        rounding = floor * (_EPS / _FLOOR_SCALE) / 2**level
         change, old = abs(value - old), value
         if level > 2 and change <= rounding:
             break
@@ -262,10 +258,10 @@ def _upper_piece(k: float, lam: float, x1: float, x2: float) -> float:
 
 
 def integral_density(params: IntegralParams) -> IntegralResult:
-    """Evaluate the integral model by double-exponential quadrature and,
-    separately, by the closed form gamma(k) lam**-k (P(k, lam b) - P(k, lam a)),
-    lam = 1 + 1/tau: the series of P below lam x = k + 1 and the continued
-    fraction of Q above, each over its part of [a, b].
+    """Evaluate the integral model by tanh-sinh quadrature over [a, b], cut
+    where the integrand is negligible, and by the closed form gamma(k) lam**-k
+    (P(k, lam b) - P(k, lam a)), lam = 1 + 1/tau, over the uncut [a, b]: the
+    series of P below lam x = k + 1 and the continued fraction of Q above.
 
     Raises ValueError, with both values, when |quadrature - closed form|
     exceeds 1e-9 * max(|closed form|, 1e-300) or is NaN, and when gamma(k)
@@ -288,11 +284,13 @@ def integral_density(params: IntegralParams) -> IntegralResult:
         return _quad(lambda y: -lam * s * y + (k - 1.0) * math.log(y) + k * log_s, lo / s, hi / s)
 
     lo, hi = sorted((params.a, params.b))
+    # past end, finite as lam >= 1, the integrand is below e**-50 of its largest value on [lo, inf)
+    end = min(hi, max(lo, (k - 1) / lam) + (50 + 15 * math.sqrt(k)) / lam)
     if 0 < lo * max(lam, 1 / hi) < 2**-20:  # x**(k-1) may be singular at 0, close below lo
-        (whole, whole_error), (head, head_error) = integrate(0.0, hi), integrate(0.0, lo)
+        (whole, whole_error), (head, head_error) = integrate(0.0, end), integrate(0.0, lo)
         value, error = whole - head, whole_error + head_error
     else:
-        value, error = integrate(lo, hi)
+        value, error = integrate(lo, end)
     mid = min(max(lo, (k + 1) / lam), hi)
     closed = (_lower_piece(k, lam, lo, mid) if lo < mid else 0.0) + (
         _upper_piece(k, lam, mid, hi) if mid < hi else 0.0

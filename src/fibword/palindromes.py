@@ -135,14 +135,10 @@ def _sp_prefix_counts(s: str) -> list[int]:
     return [0, *below]
 
 
-def _sp_count_text(s: str) -> int:
-    return _sp_prefix_counts(s)[-1]
-
-
 def sp_count(w: Word) -> int:
     """Number of distinct nonempty palindromic subsequences of w, by
     interval dynamic programming with exact big integers."""
-    return _sp_count_text(w.text)
+    return _sp_prefix_counts(w.text)[-1]
 
 
 def sp_delta(w: Word, symbol: str) -> int:

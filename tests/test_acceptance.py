@@ -38,7 +38,6 @@ from fibword.fibonacci import (
 )
 from fibword.fuzzy import fuzzy_fib_word, word_membership
 from fibword.palindromes import (
-    _sp_count_text,
     pal_density_table,
     pal_factors,
     sp_count,
@@ -120,7 +119,7 @@ def test_c04_sp_dp_matches_brute_force_to_14():
     for n in range(1, 15):
         for bits in product("ab", repeat=n):
             s = "".join(bits)
-            assert _sp_count_text(s) == oracle.brute_sp_count(AB.word(s)), s
+            assert sp_count(AB.word(s)) == oracle.brute_sp_count(AB.word(s)), s
             checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 2**15 - 2 and elapsed < 60.0
@@ -132,7 +131,7 @@ def test_c05_inequality_suite():
     for n in range(0, 14):
         for bits in product("ab", repeat=n):
             s = "".join(bits)
-            sp_by_text[s] = _sp_count_text(s)
+            sp_by_text[s] = sp_count(AB.word(s))
     ok = True
     for n in range(1, 13):
         for bits in product("ab", repeat=n):

@@ -134,14 +134,16 @@ def test_density_infinite_k_is_domain_error(capsys):
 
 def test_density_routes_that_disagree_are_exit_3():
     cases = [
-        (["--k", "1e-300", "--tau", "1"], "706.316", "closed form 1e+300"),
+        (["0", "1", "--k", "1e-300", "--tau", "1"], "706.316", "closed form 1e+300"),
         # 1/tau overflows to inf, so the closed form reads inf * 0 = nan
-        (["--k", "1", "--tau", "1e-320", "--format", "json"], "0.0,", "closed form nan, relative gap nan"),
+        (["0", "1", "--k", "1", "--tau", "1e-320", "--format", "json"], "0.0,", "closed form nan, relative gap nan"),
+        # a partial sum of the quadrature passes the largest float
+        (["100", "200", "--k", "171.6", "--tau", "inf"], "inf,", "closed form 1.5564222373519663e+308"),
     ]
-    for tail, quadrature, closed in cases:
+    for (a, b, *tail), quadrature, closed in cases:
         # A subprocess, so that a warning printed by the integrator would show on stderr.
         proc = subprocess.run(
-            [sys.executable, "-m", "fibword.cli", "density", "--a", "0", "--b", "1", *tail],
+            [sys.executable, "-m", "fibword.cli", "density", "--a", a, "--b", b, *tail],
             env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 3, tail

@@ -304,6 +304,7 @@ def _check_routes_against_mpmath(a, b, k, tau):
         return (mpmath.gammainc(k, z1) - mpmath.gammainc(k, z2)) / lam**k
 
     r = integral_density(IntegralParams(a=a, b=b, k=k, tau=tau))  # a refusal fails the test
+    assert math.isfinite(r.quadrature_error), r
     with mpmath.workdps(60):
         exact = float(model(1 + 1 / mpmath.mpf(tau)))
         # The estimate bounds the integration error of the integrand evaluated, whose lam is
@@ -320,6 +321,8 @@ def test_integral_routes_match_mpmath():
     cases = [(a, b, k, tau) for k, tau, a, b in GRID]
     cases += [(0.0, math.inf, 1.0, 1.0), (1.0, 3.0, 2.0, 0.5)]
     cases += [(0.0, math.inf, 70.0, 1.0), (2.0, math.inf, 1.0, 0.1), (3.0, 6.0, 1.0, 0.05)]
+    # near the largest float: the rounding floor once overflowed (an inf estimate, or a refusal)
+    cases += [(0.0, math.inf, 169.5, 100.0), (0.0, math.inf, 170.0, 100.0)]
     for a, b, k, tau in cases:
         _check_routes_against_mpmath(a, b, k, tau)
 
@@ -327,7 +330,7 @@ def test_integral_routes_match_mpmath():
 @settings(deadline=None)
 @given(
     st.floats(0, 20),
-    st.one_of(st.floats(0, 40), st.just(math.inf)),
+    st.one_of(st.floats(0, 40), st.just(math.inf), st.sampled_from([1e3, 1e10, 1e100, 1e308])),
     st.floats(0.05, 60),
     st.floats(0.01, 100),
 )
@@ -340,6 +343,8 @@ def test_integral_routes_match_mpmath():
 @example(0.0, 5e-324, 0.7119072771682641, 34.94700227782895)
 @example(2.426822896184117e-142, 35.83286996135912, 0.090132014665941, 0.12843329974695733)
 @example(1.215844744415506e-130, math.inf, 0.10058233149079322, 0.015258425817592564)
+# an interval far wider than the integrand's scale: e**-100 / 2, once refused
+@example(50.0, 1e308, 1.0, 1.0)
 def test_integral_routes_match_mpmath_on_drawn_inputs(a, b, k, tau):
     _check_routes_against_mpmath(a, b, k, tau)
 
