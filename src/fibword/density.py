@@ -277,20 +277,13 @@ def integral_density(params: IntegralParams) -> IntegralResult:
     except OverflowError:
         raise ValueError(f"gamma({k!r}) overflows a float") from None
 
-    def integrate(lo: float, hi: float) -> tuple[float, float]:
-        # x = s * y, s a power of two (exact ends): below 1, log s + log y keeps what x would lose
-        s = 2.0 ** min(math.frexp(hi)[1], 0)
-        log_s = math.log(s)
-        return _quad(lambda y: -lam * s * y + (k - 1.0) * math.log(y) + k * log_s, lo / s, hi / s)
-
     lo, hi = sorted((params.a, params.b))
     # past end, finite as lam >= 1, the integrand is below e**-50 of its largest value on [lo, inf)
     end = min(hi, max(lo, (k - 1) / lam) + (50 + 15 * math.sqrt(k)) / lam)
-    if 0 < lo * max(lam, 1 / hi) < 2**-20:  # x**(k-1) may be singular at 0, close below lo
-        (whole, whole_error), (head, head_error) = integrate(0.0, end), integrate(0.0, lo)
-        value, error = whole - head, whole_error + head_error
-    else:
-        value, error = integrate(lo, end)
+    # x = s * y, s a power of two (exact ends): below 1, log s + log y keeps what x would lose
+    s = 2.0 ** min(math.frexp(end)[1], 0)
+    log_s = math.log(s)
+    value, error = _quad(lambda y: -lam * s * y + (k - 1.0) * math.log(y) + k * log_s, lo / s, end / s)
     mid = min(max(lo, (k + 1) / lam), hi)
     closed = (_lower_piece(k, lam, lo, mid) if lo < mid else 0.0) + (
         _upper_piece(k, lam, mid, hi) if mid < hi else 0.0

@@ -3,23 +3,28 @@
 P(w) counts distinct nonempty palindromic factors (contiguous), SP(w)
 counts distinct nonempty palindromic subsequences.  For every nonempty w,
 P(w) <= |w| <= SP(w).  Factor sets are read off a palindromic tree
-(eertree), which is built in time linear in |w| on every word.
+(eertree), which is built in time linear in |w| on every word.  SP is summed
+with exact big integers over the intervals reachable from the whole word.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, compress, product, repeat
+from operator import add, sub
 from typing import Optional
 
 from .density import DensitySample, count_occurrences
 from .fibonacci import infinite_prefix
 from .words import BINARY, Word, _unchecked_word
 
-#: sp_count takes time quadratic in |w| and keeps (letters + 2) rows of |w|
-#: big integers; at the guard, a random binary word takes ~20 s and ~24 MB
-#: peak RSS (2-CPU VM, Python 3.11).  Longer inputs are refused.
+#: sp_count's cost is the reachable intervals (~17 % of |w|^2/2 on random words,
+#: ~6 % on Fibonacci prefixes) times the letters looked up in each: at the guard a
+#: random ternary word takes ~8 s and ~7 MB above the import, one over 26 letters
+#: ~14 s and ~10 MB (2-CPU VM, Python 3.11).  Longer inputs are refused.
 SP_COUNT_GUARD = 10**4
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary string's digits as bytes 0 and 1, for compress
 
 #: pal_factors builds every factor as a string, so it refuses words whose factors
 #: total more characters: Fibonacci prefixes past 16,509 symbols, or a^n past 14,141.
@@ -93,60 +98,71 @@ def pal_factors(w: Word) -> PalindromeReport:
     return PalindromeReport(word=w, pal_factors=factors, p_count=len(factors))
 
 
-def _sp_prefix_counts(s: str) -> list[int]:
-    """SP of every prefix of s, the empty prefix first.
+def _sp_text(s: str) -> int:
+    """SP(s), summed over the intervals s[i:j] reachable from the whole of s.
 
-    Row i of the interval DP holds dp[i][j] = SP(s[i..j]) for every j (0 for
-    j < i).  Rows are built from i = n-1 down to 0, and row i reads only row
-    i+1, itself to its left and row lo+1, where lo is the next occurrence of
-    s[i].  So one saved row per letter plus the row below is kept alive, and
-    row 0 is SP of every nonempty prefix.
+    A nonempty palindrome in s[i:j] is c, cc or c.p.c, c its first letter, so
+    SP(i, j) sums, over the letters c of s[i:j], 1 + [f < l](1 + SP(f+1, l)),
+    f the first c at or after i and l the last c before j.  Discovery walks left
+    ends up, keeping each one's right ends j as bits n - j of an int, so the step
+    from j to l is one carry.  Evaluation walks down, keeping per letter only the
+    values of left end f+1, which no left end at or before the previous c reads.
     """
     n = len(s)
     if n > SP_COUNT_GUARD:
         raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
-    prev_same = []  # prev_same[j]: the previous occurrence of s[j], or -1
-    last: dict[str, int] = {}
-    for j, c in enumerate(s):
-        prev_same.append(last.get(c, -1))
-        last[c] = j
-    below = [0] * n  # row n: every interval is empty
-    later: dict[str, tuple[int, list[int]]] = {}  # c -> (next occurrence lo, row lo+1)
-    for i in range(n - 1, -1, -1):
-        c = s[i]
-        lo, shared = later.get(c, (n, below))  # no later c: shared is never read
-        row = [0] * i
-        row.append(1)
-        append = row.append
-        left = 1
-        # down = dp[i+1][j], diag = dp[i+1][j-1], left = dp[i][j-1]
-        for d, down, diag, hi in zip(s[i + 1 :], below[i + 1 :], below[i:], prev_same[i + 1 :]):
-            if d != c:
-                left = down + left - diag
-            elif hi == i:  # no c strictly inside: c, cc and every c.p.c are new
-                left = 2 * diag + 2
-            elif hi == lo:  # one c inside: only cc is new besides c.p.c
-                left = 2 * diag + 1
-            else:  # c.p.c with p inside the inner c..c were counted already
-                left = 2 * diag - shared[hi - 1]
-            append(left)
-        later[c] = (i, below)
-        below = row
-    return [0, *below]
+    nxt, head = [n] * (n + 1), {}  # nxt[p]: the next occurrence of s[p]; head[c]: the first c
+    for p in range(n - 1, -1, -1):
+        nxt[p], head[s[p]] = head.get(s[p], n), p
+    last, at = {}, {}  # last[c][j]: the last c before j; at[c]: bit n - p per c at p
+    for c, f in head.items():
+        cs = [f]
+        while cs[-1] < n:
+            cs.append(nxt[cs[-1]])
+        if len(cs) > 2:  # only a letter that occurs twice is ever looked up
+            digits = bytearray(b"0" * (n + 1))
+            for p in cs[:-1]:
+                digits[p] = 49  # "1"
+            at[c] = int(digits, 2)
+            last[c] = list(chain(repeat(-1, f + 1), *map(repeat, cs, map(sub, cs[1:], cs))))
+    full, ends = (2 << n) - 1, {0: 1}  # ends: left end i -> its right ends j, bit n - j each
+    for i in range(n):  # head[c]: the first c at or after i, n past the last c
+        if mask := ends.get(i):
+            top = n + 1 - (mask & -mask).bit_length()  # the largest right end
+            for c, f in head.items():
+                if (g := nxt[f]) < top:  # c occurs twice in s[i:top]
+                    x = (mask & (1 << n - g) - 1) << 1  # right ends past g, at bit n - j + 1
+                    gap = full ^ at[c]  # a carry from x's lowest bit in a gap lands on the c above
+                    ends[f + 1] = ends.get(f + 1, 0) | (gap + (x & gap) | x) & at[c]
+        head[s[i]] = nxt[i]
+    positions, kids, row, vals = list(range(n + 1)), {}, {n - 1: 1}, [2]
+    for i in range(n - 1, -1, -1):  # kids[c]: f, the first c at or after i, and left end f+1's values
+        kids[s[i]], row = (i, row), {i - 1: 1}  # this frees the values the next s[i] gave
+        if mask := ends.pop(i, 0):  # row: j -> 2 + SP(i, j), and 1 at l = f: the letter alone
+            bits = format(mask, "b")
+            js = list(compress(positions[n + 1 - len(bits) :], bits.encode().translate(_BITS)))
+            vals, once, top = [2] * len(js), [], js[-1]
+            for c, (f, kid) in kids.items():
+                if nxt[f] < top:  # c occurs twice in s[i:top]: 2 + SP(f+1, l) past its second
+                    vals = list(map(add, vals, map(kid.get, map(last[c].__getitem__, js), repeat(0))))
+                elif f < top:  # c occurs once in s[i:top]: it adds 1 past f
+                    once.append(f)
+            if once:
+                vals = list(map(add, vals, map(bisect_left, repeat(sorted(once)), js)))
+            row.update(zip(js, vals))
+    return vals[-1] - 2
 
 
 def sp_count(w: Word) -> int:
-    """Number of distinct nonempty palindromic subsequences of w, by
-    interval dynamic programming with exact big integers."""
-    return _sp_prefix_counts(w.text)[-1]
+    """Number of distinct nonempty palindromic subsequences of w, with exact
+    big integers over the intervals reachable from w (see _sp_text)."""
+    return _sp_text(w.text)
 
 
 def sp_delta(w: Word, symbol: str) -> int:
     """How many new scattered palindromic subsequences appending `symbol`
-    to w creates: SP(w·a) - SP(w), read off one pass over w·a."""
-    extended = w + Word(w.alphabet, symbol)
-    counts = _sp_prefix_counts(extended.text)
-    return counts[-1] - counts[len(w)]
+    to w creates: SP(w·a) - SP(w)."""
+    return sp_count(w + Word(w.alphabet, symbol)) - sp_count(w)
 
 
 def palindrome_report(w: Word) -> PalindromeReport:

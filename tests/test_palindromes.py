@@ -37,6 +37,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 ab_texts = st.text(alphabet="ab", max_size=60)
 abc_texts = st.text(alphabet="abc", min_size=1, max_size=12)
+letters_and_texts = st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
+    lambda letters: st.tuples(st.just(letters), st.text(letters, max_size=40))
+)
 
 
 def test_is_palindrome():
@@ -181,6 +184,42 @@ def test_sp_count_keeps_a_few_rows_alive():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 64 * 1024  # ru_maxrss is in KiB
+
+
+_SP_TERNARY_RSS_PROBE = """
+import random, resource
+from fibword.palindromes import sp_count
+from fibword.words import ABC
+rng = random.Random(3000)
+w = ABC.word("".join(rng.choice("abc") for _ in range(3000)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sp_count(w)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_sp_count_frees_values_no_left_end_reads():
+    # Keeping every left end's values instead takes ~80 MB at this size.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SP_TERNARY_RSS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 1024  # ru_maxrss is in KiB
+
+
+def test_sp_count_of_a_unary_word_at_the_guard():
+    # a^n has the n palindromic subsequences a..a^n; only n/2 + 1 intervals are reachable.
+    assert sp_count(AB.word("a" * 10**4)) == 10**4
+
+
+@given(letters_and_texts)
+def test_sp_count_and_delta_match_reference_on_drawn_words(drawn):
+    letters, text = drawn
+    w = Alphabet(letters).word(text)
+    assert sp_count(w) == _reference_sp(text)
+    for c in letters:
+        assert sp_delta(w, c) == _reference_sp(text + c) - _reference_sp(text)
 
 
 @given(ab_texts)
