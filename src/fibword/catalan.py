@@ -38,13 +38,11 @@ def table_expr(n: int) -> int:
 def limit_function_g(n: int) -> Fraction:
     """g(n) = ((n+1)*(n!)**2 + (2n)!) / (2n)!, exactly.
 
-    Equals 1 + (n+1)/binom(2n, n) and decreases to 1.
+    Equals 1 + (n+1)/binom(2n, n), the form evaluated, and decreases to 1.
     """
     if not 1 <= n <= 200:
-        raise ValueError("n must be between 1 and 200 (factorials kept exact)")
-    fact_n = math.factorial(n)
-    fact_2n = math.factorial(2 * n)
-    return Fraction((n + 1) * fact_n * fact_n + fact_2n, fact_2n)
+        raise ValueError("n must be between 1 and 200")
+    return 1 + Fraction(n + 1, math.comb(2 * n, n))
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,8 @@ class CatalanRecord:
 
 
 def catalan_record(n: int) -> CatalanRecord:
-    return CatalanRecord(n, catalan(n), table_expr(n), limit_function_g(n))
+    c = catalan(n)  # C_n - 1 is table_expr(n), without computing C_n again
+    return CatalanRecord(n, c, c - 1, limit_function_g(n))
 
 
 def catalan_table(n_max: int) -> list[CatalanRecord]:

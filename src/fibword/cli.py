@@ -30,7 +30,10 @@ class UsageError(Exception):
 
 
 def _cell(value: object) -> str:
-    """One CSV cell: booleans as true/false, the rest by str (a float's str is its repr)."""
+    """One CSV cell: booleans as true/false, the rest by str (a float's str is its repr); a
+    string holding a comma, quote, CR or LF is quoted with its quotes doubled (RFC 4180)."""
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return json.dumps(value) if isinstance(value, bool) else str(value)
 
 

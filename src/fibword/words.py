@@ -40,8 +40,7 @@ class Alphabet:
         self._ranks = {s: i for i, s in enumerate(syms)}
         self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
         self._delete = dict.fromkeys(map(ord, syms))
-        # per letter but the last, the table mapping it to "1" and the rest to "0"
-        self._mask_tables = {c: {ord(s): "01"[s == c] for s in syms} for c in syms[:-1]}
+        self._mask_tables = None  # built by _letter_masks on first use: len·(len - 1) entries
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -211,8 +210,12 @@ def _require_same_alphabet(u: Word, v: Word) -> None:
 def _letter_masks(text: str, alphabet: Alphabet) -> dict[str, int]:
     """One bitmask per letter: bit i is set iff text[i] is that letter.  The
     last letter's mask is the complement of the others, which are parsed."""
+    # per letter but the last, it -> "1" and the rest -> "0"; racing threads build equal tables
+    if (tables := alphabet._mask_tables) is None:
+        syms = alphabet.symbols
+        tables = alphabet._mask_tables = {c: {ord(s): "01"[s == c] for s in syms} for c in syms[:-1]}
     rev = text[::-1]  # int(..., 2) reads the first character as the top bit
-    masks = {c: int(rev.translate(table) or "0", 2) for c, table in alphabet._mask_tables.items()}
+    masks = {c: int(rev.translate(table) or "0", 2) for c, table in tables.items()}
     masks[alphabet.symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
     return masks
 

@@ -1,6 +1,7 @@
 """The command-line front end: outputs, formats, determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -227,26 +228,42 @@ def test_curve_csv_reads_no_exact_value(capsys, monkeypatch, argv):
 _RSS_PROBE = """
 import os
 from fibword.cli import main
-code = main(["curve", "--kind", "letter", "--n-max", "200000", "--format", "csv", "--out", os.devnull])
+code = main({argv} + ["--out", os.devnull])
 with open("/proc/self/status") as status:
     peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(code, peak_kb // 1024)
 """
 
 
+def _exit_code_and_peak_mb(*argv):
+    # One command in a fresh process.  VmHWM, unlike ru_maxrss, does not carry
+    # over the forking parent's peak.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = _RSS_PROBE.format(argv=ascii(list(argv)))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_mb = map(int, proc.stdout.split())
+    return code, peak_mb
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_letter_curve_csv_stays_small():
     # Only the CSV lines are built: ~65 MB peak RSS, against ~150 MB when
-    # every form was built up front (2-CPU VM, Python 3.11, Linux).  VmHWM,
-    # unlike ru_maxrss, does not carry over the forking parent's peak.
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, peak_mb = map(int, proc.stdout.split())
+    # every form was built up front (2-CPU VM, Python 3.11, Linux).
+    code, peak_mb = _exit_code_and_peak_mb("curve", "--kind", "letter", "--n-max", "200000", "--format", "csv")
     assert code == 0
     assert peak_mb < 100
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_many_letter_pattern_stays_small():
+    # The pattern's alphabet builds no letter-mask tables (3,000 * 2,999 entries
+    # here), which only bitmask counting reads: ~19 MB peak RSS, against ~730 MB
+    # and 3 s when every alphabet built them (2-CPU VM, Python 3.11, Linux).
+    pattern = "".join(map(chr, range(0x4E00, 0x4E00 + 3000)))  # distinct CJK letters
+    code, peak_mb = _exit_code_and_peak_mb("scattered", "--pattern", pattern)
+    assert code == 0
+    assert peak_mb < 64
 
 
 def test_letter_curve_past_its_guard_is_exit_3(capsys):
@@ -293,6 +310,21 @@ def test_scattered(capsys):
     code, out, _ = run_cli(capsys, "scattered", "--pattern", "abaa", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"word": "abaa", "sp_count": 5}
+
+
+@pytest.mark.parametrize("word", ["a,b", 'a,"b', 'x\r\n"y'])
+def test_csv_cells_needing_quotes_read_back(capsys, word):
+    # RFC 4180: a cell holding a comma, quote, CR or LF is quoted, its quotes doubled
+    _, out, _ = run_cli(capsys, "scattered", "--pattern", word, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert header == ["word", "sp_count"]
+    assert [row[0] for row in rows] == [word] and all(len(row) == len(header) for row in rows)
+    _, out, _ = run_cli(capsys, "palindromes", "--pattern", word, "--format", "json")
+    factors = json.loads(out)["pal_factors"]
+    _, out, _ = run_cli(capsys, "palindromes", "--pattern", word, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert header == ["factor"]
+    assert rows == [[factor] for factor in factors]
 
 
 def test_squarefree_enumeration(capsys):
