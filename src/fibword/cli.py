@@ -151,6 +151,8 @@ def _cmd_scattered(args: argparse.Namespace) -> Report:
 def _cmd_squarefree(args: argparse.Namespace) -> Report:
     if (args.length is None) == (args.n_max is None):
         raise UsageError("squarefree needs exactly one of --length or --n-max")
+    if args.n_max is not None and args.alphabet != 3:
+        raise UsageError("the growth-bound table is ternary: --alphabet 2 goes with --length only")
     if args.length is not None:
         texts = [w.text for w in enumerate_square_free(args.alphabet, args.length)]
         return Report(
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("squarefree", help="square-free enumeration or growth-bound table")
     sp.add_argument("--length", type=int, help="enumerate words of this length")
-    sp.add_argument("--alphabet", type=int, choices=(2, 3), default=3)
+    sp.add_argument("--alphabet", type=int, choices=(2, 3), default=3, help="alphabet size for --length")
     sp.add_argument("--n-max", type=int, help="emit the growth-bound table up to n")
     common(sp, _cmd_squarefree)
 

@@ -93,7 +93,7 @@ def _pal_factor_strings(text: str) -> list[str]:
 def pal_factors(w: Word) -> PalindromeReport:
     """Report with the set of distinct nonempty palindromic factors of w
     (lexicographic under the alphabet order) and its cardinality."""
-    ordered = sorted(_pal_factor_strings(w.text), key=w.alphabet.sort_key)
+    ordered = w.alphabet.sort_texts(_pal_factor_strings(w.text))
     factors = tuple(_unchecked_word(w.alphabet, t) for t in ordered)
     return PalindromeReport(word=w, pal_factors=factors, p_count=len(factors))
 

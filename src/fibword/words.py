@@ -25,7 +25,7 @@ class Alphabet:
     enumeration in the library, so results are deterministic.
     """
 
-    __slots__ = ("symbols", "_ranks", "_rank_table", "_delete", "_mask_tables")
+    __slots__ = ("symbols", "_ranks", "_rank_table", "_code_point_order", "_delete", "_mask_tables")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -39,6 +39,7 @@ class Alphabet:
         self.symbols = syms
         self._ranks = {s: i for i, s in enumerate(syms)}
         self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
+        self._code_point_order = list(syms) == sorted(syms)  # then plain string order is this order
         self._delete = dict.fromkeys(map(ord, syms))
         self._mask_tables = None  # built by _letter_masks on first use: len·(len - 1) entries
 
@@ -73,6 +74,11 @@ class Alphabet:
         """Key for sorting strings lexicographically under alphabet order:
         the text with each symbol replaced by the character of its rank."""
         return text.translate(self._rank_table)
+
+    def sort_texts(self, texts: Iterable[str]) -> list[str]:
+        """Strings over this alphabet, sorted lexicographically under its order:
+        by code point with no per-string key when the symbols are in code-point order."""
+        return sorted(texts) if self._code_point_order else sorted(texts, key=self.sort_key)
 
     def word(self, text: str = "") -> "Word":
         """Build a word over this alphabet from its string form."""
@@ -252,4 +258,4 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
     if k > len(text):
         return []
     seen = {text[i : i + k] for i in range(len(text) - k + 1)}
-    return [_unchecked_word(w.alphabet, t) for t in sorted(seen, key=w.alphabet.sort_key)]
+    return [_unchecked_word(w.alphabet, t) for t in w.alphabet.sort_texts(seen)]

@@ -344,6 +344,13 @@ def test_squarefree_bound_table(capsys):
     assert lines[5].endswith("true,false")
 
 
+def test_squarefree_bound_table_refuses_the_binary_alphabet(capsys):
+    # the growth-bound table counts ternary words only, so --alphabet 2 would be ignored
+    code, out, err = run_cli(capsys, "squarefree", "--alphabet", "2", "--n-max", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_catalan_rows(capsys):
     code, out, _ = run_cli(capsys, "catalan", "--n-max", "4", "--format", "csv")
     assert code == 0

@@ -84,6 +84,17 @@ def test_pal_factors_sorted_under_alphabet_order():
     assert texts == sorted(texts)
 
 
+@pytest.mark.parametrize("alpha", [Alphabet("ba"), Alphabet("cab"), Alphabet("10")])
+def test_pal_factors_sorted_under_non_code_point_alphabets(alpha):
+    rng = random.Random(19)
+    for _ in range(40):
+        text = "".join(rng.choices(alpha.symbols, k=rng.randint(0, 60)))
+        factors = pal_factors(alpha.word(text)).pal_factors
+        texts = [f.text for f in factors]
+        assert texts == sorted(texts, key=lambda t: tuple(alpha.rank(c) for c in t))
+        assert set(factors) == oracle.brute_pal_factor_set(alpha.word(text))
+
+
 def test_sp_count_worked_examples():
     assert sp_count(AB.word("abaa")) == 5
     assert sp_count(AB.word("abab")) == 6

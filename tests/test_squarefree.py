@@ -9,6 +9,7 @@ import pytest
 from fibword import oracle
 from fibword.cli import main
 from fibword.squarefree import (
+    ENUMERATION_GUARD,
     REPETITION_GUARD,
     brandenburg_table,
     delta_decode,
@@ -129,6 +130,18 @@ def test_enumeration_extension_consistency():
             if is_square_free(w := Word(ABC, p.text + c))
         ]
         assert sorted(rebuilt) == enumerate_square_free(3, n)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ABC])
+def test_levels_are_the_square_free_extensions_up_to_the_guard(alphabet):
+    # is_square_free is the bitmask test, which shares no code with the levels' rfind test
+    size = len(alphabet)
+    levels = [[w.text for w in enumerate_square_free(size, n)] for n in range(ENUMERATION_GUARD + 1)]
+    assert levels[0] == [""]
+    for below, level in zip(levels, levels[1:]):
+        assert all(u < v for u, v in zip(level, level[1:]))
+        extended = [p + c for p in below for c in alphabet.symbols]
+        assert level == [t for t in extended if is_square_free(Word(alphabet, t))]
 
 
 def test_count_growth_is_ratio_bounded():
