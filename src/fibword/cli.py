@@ -40,20 +40,24 @@ def _cell(value: object) -> str:
 @dataclass(frozen=True)
 class Report:
     """One command's output and exit code; render builds only the form asked for.  ``payload``
-    is the JSON value (a dict prints compact, other rows as a list with indent 2), ``text`` the
-    lines, ``csv`` (header, rows) of raw values, by default the payload's keys and values."""
+    is the JSON value (a dict prints compact, rows as a list with indent 2), ``text`` the lines
+    (by default a dict's ``name: value``), ``csv`` (header, rows), by default its keys and values."""
 
     payload: dict | Iterable[dict] | None
-    text: Iterable[str]
+    text: Iterable[str] | None = None
     csv: tuple[Iterable, Iterable[Iterable]] | None = None
     code: int = 0
 
     def render(self, fmt: str) -> str:
         if self.payload is None or fmt == "text":  # without a payload every format is text
-            return "\n".join(self.text) + "\n"
-        if fmt == "json":
-            value = self.payload if isinstance(self.payload, dict) else list(self.payload)
-            return json.dumps(value, indent=2 if isinstance(value, list) else None) + "\n"
+            text = self.text if self.text is not None else (f"{k}: {v}" for k, v in self.payload.items())
+            return "\n".join(text) + "\n"
+        if fmt == "json" and isinstance(self.payload, dict):
+            return json.dumps(self.payload) + "\n"
+        if fmt == "json":  # indent=2's layout of flat rows but {} (never given), by the C encoder
+            rows = map(json.JSONEncoder(separators=(",\n    ", ": ")).encode, self.payload)
+            body = "\n  },\n  {\n    ".join(row[1:-1] for row in rows)
+            return f"[\n  {{\n    {body}\n  }}\n]\n" if body else "[]\n"
         if self.csv is not None:
             header, rows = self.csv
         else:  # the payload's keys, then each row's values
@@ -101,8 +105,7 @@ def _cmd_density(args: argparse.Namespace) -> Report:
         )
     if any(v is None for v in integral_flags):
         raise UsageError("density needs --pattern/--prefix or all of --a/--b/--k/--tau")
-    values = asdict(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau)))
-    return Report(values, [f"{name}: {v}" for name, v in values.items()])
+    return Report(asdict(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau))))
 
 
 def _cmd_curve(args: argparse.Namespace) -> Report:
@@ -111,11 +114,8 @@ def _cmd_curve(args: argparse.Namespace) -> Report:
     else:
         samples = letter_density_curve(args.letter, args.n_max)
     return Report(
-        (
-            {"n": s.n, "numerator": s.value.numerator, "denominator": s.value.denominator,
-             "value": s.value_real}
-            for s in samples
-        ),
+        ({"n": s.n, "numerator": v.numerator, "denominator": v.denominator, "value": s.value_real}
+         for s in samples for v in [s.value]),  # read once: .value builds a Fraction on each read
         (f"{s.n} {s.value} {s.value_real!r}" for s in samples),
         (["n", "value"], ((s.n, s.value_real) for s in samples)),
     )
@@ -144,8 +144,7 @@ def _cmd_palindromes(args: argparse.Namespace) -> Report:
 
 
 def _cmd_scattered(args: argparse.Namespace) -> Report:
-    payload = {"word": args.pattern, "sp_count": sp_count(_parse_word(args.pattern))}
-    return Report(payload, [f"{name}: {v}" for name, v in payload.items()])
+    return Report({"word": args.pattern, "sp_count": sp_count(_parse_word(args.pattern))})
 
 
 def _cmd_squarefree(args: argparse.Namespace) -> Report:

@@ -203,8 +203,11 @@ def _quad(log_f, a: float, b: float) -> tuple[float, float]:
                 last = y
         try:
             value = math.fsum(terms) / 2**level
-        except OverflowError:  # a partial sum passes the largest float
-            value = math.inf
+        except OverflowError:  # a partial sum passes the largest float, though no term does
+            try:
+                value = math.fsum(t / 2**level for t in terms)
+            except OverflowError:  # so does this level's estimate
+                value = math.inf
         rounding = floor * (_EPS / _FLOOR_SCALE) / 2**level
         change, old = abs(value - old), value
         if level > 2 and change <= rounding:

@@ -98,8 +98,9 @@ def pal_factors(w: Word) -> PalindromeReport:
     return PalindromeReport(word=w, pal_factors=factors, p_count=len(factors))
 
 
-def _sp_text(s: str) -> int:
-    """SP(s), summed over the intervals s[i:j] reachable from the whole of s.
+def sp_count(w: Word) -> int:
+    """Number of distinct nonempty palindromic subsequences of w, with exact big integers,
+    summed over the intervals s[i:j] reachable from the whole of s = w.text.
 
     A nonempty palindrome in s[i:j] is c, cc or c.p.c, c its first letter, so
     SP(i, j) sums, over the letters c of s[i:j], 1 + [f < l](1 + SP(f+1, l)),
@@ -108,6 +109,7 @@ def _sp_text(s: str) -> int:
     from j to l is one carry.  Evaluation walks down, keeping per letter only the
     values of left end f+1, which no left end at or before the previous c reads.
     """
+    s = w.text
     n = len(s)
     if n > SP_COUNT_GUARD:
         raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
@@ -151,12 +153,6 @@ def _sp_text(s: str) -> int:
                 vals = list(map(add, vals, map(bisect_left, repeat(sorted(once)), js)))
             row.update(zip(js, vals))
     return vals[-1] - 2
-
-
-def sp_count(w: Word) -> int:
-    """Number of distinct nonempty palindromic subsequences of w, with exact
-    big integers over the intervals reachable from w (see _sp_text)."""
-    return _sp_text(w.text)
 
 
 def sp_delta(w: Word, symbol: str) -> int:

@@ -138,7 +138,7 @@ def test_density_routes_that_disagree_are_exit_3():
         (["0", "1", "--k", "1e-300", "--tau", "1"], "706.316", "closed form 1e+300"),
         # 1/tau overflows to inf, so the closed form reads inf * 0 = nan
         (["0", "1", "--k", "1", "--tau", "1e-320", "--format", "json"], "0.0,", "closed form nan, relative gap nan"),
-        # a partial sum of the quadrature passes the largest float
+        # a node's term of the quadrature passes the largest float
         (["100", "200", "--k", "171.6", "--tau", "inf"], "inf,", "closed form 1.5564222373519663e+308"),
     ]
     for (a, b, *tail), quadrature, closed in cases:
@@ -153,6 +153,14 @@ def test_density_routes_that_disagree_are_exit_3():
         assert closed in proc.stderr
         assert proc.stderr.endswith(" > 1e-09\n")
         assert proc.stderr.count("\n") == 1
+
+
+def test_density_level_estimate_past_the_largest_float(capsys):
+    # Level 0 of the quadrature sums past the largest float, halved or not; level 1 does not.
+    code, out, err = run_cli(capsys, "density", "--a", "147.94", "--b", "193.26", "--k", "171.6", "--tau", "inf")
+    assert (code, err) == (0, "")
+    assert out.startswith("quadrature: 1.45273005709")
+    assert out.count("\n") == 3
 
 
 @pytest.mark.parametrize(
@@ -194,6 +202,19 @@ def test_curve_json_carries_exact_fractions(capsys):
         "denominator": 89,
         "value": 55 / 89,
     }
+
+
+# JSON scalars, with text biased to what JSON escapes: quotes, backslashes, control and non-ASCII
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'), st.characters()))
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(_JSON_TEXT, _JSON_SCALAR, min_size=1, max_size=6), max_size=4))
+@example([])
+def test_json_rows_keep_the_indent_2_layout(rows):
+    # Rows are encoded one by one, yet read as json.dumps lays out the whole list.
+    assert cli.Report(rows).render("json") == json.dumps(rows, indent=2) + "\n"
 
 
 def test_curve_letter_kind(capsys):
@@ -253,6 +274,15 @@ def test_letter_curve_csv_stays_small():
     code, peak_mb = _exit_code_and_peak_mb("curve", "--kind", "letter", "--n-max", "200000", "--format", "csv")
     assert code == 0
     assert peak_mb < 100
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_letter_curve_json_stays_small():
+    # The rows are encoded one at a time by the C encoder: ~95 MB peak RSS, against
+    # ~290 MB for json.dumps(indent=2) of the whole list (2-CPU VM, Python 3.11, Linux).
+    code, peak_mb = _exit_code_and_peak_mb("curve", "--kind", "letter", "--n-max", "200000", "--format", "json")
+    assert code == 0
+    assert peak_mb < 150
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

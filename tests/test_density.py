@@ -327,6 +327,15 @@ def test_integral_routes_match_mpmath():
         _check_routes_against_mpmath(a, b, k, tau)
 
 
+def test_integral_admits_node_sums_past_the_largest_float():
+    # Each node's term is finite, but a level's sum of them, ~2**level times the integral
+    # (4.8e306 to 1.7e307 here), is not: these were refused with quadrature inf.
+    for k, tau in [(171.0, 1000.0), (171.0, math.inf), (171.25, 100.0), (171.5, 100.0)]:
+        _check_routes_against_mpmath(0.0, math.inf, k, tau)
+    # Level 0's estimate itself (~1.86e308) passes the largest float; later levels do not.
+    _check_routes_against_mpmath(147.94, 193.26, 171.6, math.inf)
+
+
 @settings(deadline=None)
 @given(
     st.floats(0, 20),
