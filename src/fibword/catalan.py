@@ -11,11 +11,10 @@ normalized form g(n) converges to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fibonacci import fib, fib_word
-from .words import Word
+from .words import Word, _Record
 
 
 def catalan(n: int) -> int:
@@ -45,8 +44,7 @@ def limit_function_g(n: int) -> Fraction:
     return 1 + Fraction(n + 1, math.comb(2 * n, n))
 
 
-@dataclass(frozen=True)
-class CatalanRecord:
+class CatalanRecord(_Record):
     """One exact row: n, C_n, C_n - 1, and g(n)."""
 
     n: int

@@ -3,25 +3,17 @@
 Every command returns one Report; main renders it as text, CSV, or JSON to
 stdout or to --out.  Output is deterministic.  Exit codes: 0 success,
 2 usage error, 3 domain/guard error, out of memory or output that cannot
-be encoded or written, 1 verification mismatch.
+be encoded or written, 1 verification mismatch.  Each command imports only the
+modules it runs, and json only when JSON is rendered.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
 from itertools import chain
-from pathlib import Path
 
-from .catalan import catalan_table
-from .density import IntegralParams, density, integral_density, letter_density_curve, ratio_curve
-from .fibonacci import DEFAULT_SEEDS, REFERENCE_SEEDS, FibSeeds, fib_word, infinite_prefix
-from .fuzzy import fuzzy_fib_word, word_membership
-from .palindromes import pal_density_table, palindrome_report, sp_count
-from .squarefree import brandenburg_table, enumerate_square_free
 from .words import BINARY, Alphabet, Word
 
 
@@ -34,24 +26,23 @@ def _cell(value: object) -> str:
     string holding a comma, quote, CR or LF is quoted with its quotes doubled (RFC 4180)."""
     if isinstance(value, str) and any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
-    return json.dumps(value) if isinstance(value, bool) else str(value)
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
-@dataclass(frozen=True)
 class Report:
     """One command's output and exit code; render builds only the form asked for.  ``payload``
     is the JSON value (a dict prints compact, rows as a list with indent 2), ``text`` the lines
     (by default a dict's ``name: value``), ``csv`` (header, rows), by default its keys and values."""
 
-    payload: dict | Iterable[dict] | None
-    text: Iterable[str] | None = None
-    csv: tuple[Iterable, Iterable[Iterable]] | None = None
-    code: int = 0
+    def __init__(self, payload: dict | Iterable[dict] | None, text: Iterable[str] | None = None,
+                 csv: tuple[Iterable, Iterable[Iterable]] | None = None, code: int = 0):
+        self.payload, self.text, self.csv, self.code = payload, text, csv, code
 
     def render(self, fmt: str) -> str:
         if self.payload is None or fmt == "text":  # without a payload every format is text
             text = self.text if self.text is not None else (f"{k}: {v}" for k, v in self.payload.items())
             return "\n".join(text) + "\n"
+        import json
         if fmt == "json" and isinstance(self.payload, dict):
             return json.dumps(self.payload) + "\n"
         if fmt == "json":  # indent=2's layout of flat rows but {} (never given), by the C encoder
@@ -71,18 +62,16 @@ def _parse_word(text: str) -> Word:
     return Word(Alphabet(sorted(set(text)) or "a"), text)
 
 
-def _parse_seeds(raw: str) -> FibSeeds:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise UsageError("--seeds expects two comma-separated words, e.g. 1,10")
-    return FibSeeds(Word(BINARY, parts[0]), Word(BINARY, parts[1]))
-
-
 def _cmd_generate(args: argparse.Namespace) -> Report:
+    from .fibonacci import DEFAULT_SEEDS, FibSeeds, fib_word, infinite_prefix
     if (args.n is None) == (args.length is None):
         raise UsageError("generate needs exactly one of --n or --length")
     if args.n is not None:
-        seeds = _parse_seeds(args.seeds) if args.seeds else DEFAULT_SEEDS
+        seeds = DEFAULT_SEEDS
+        if args.seeds:
+            if len(parts := args.seeds.split(",")) != 2:
+                raise UsageError("--seeds expects two comma-separated words, e.g. 1,10")
+            seeds = FibSeeds(Word(BINARY, parts[0]), Word(BINARY, parts[1]))
         word = fib_word(args.n, seeds)
     else:
         word = infinite_prefix(args.length)
@@ -90,6 +79,7 @@ def _cmd_generate(args: argparse.Namespace) -> Report:
 
 
 def _cmd_density(args: argparse.Namespace) -> Report:
+    from .density import IntegralParams, density, integral_density
     integral_flags = (args.a, args.b, args.k, args.tau)
     if args.pattern is not None:
         if any(v is not None for v in integral_flags):
@@ -105,10 +95,11 @@ def _cmd_density(args: argparse.Namespace) -> Report:
         )
     if any(v is None for v in integral_flags):
         raise UsageError("density needs --pattern/--prefix or all of --a/--b/--k/--tau")
-    return Report(asdict(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau))))
+    return Report(vars(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau))))
 
 
 def _cmd_curve(args: argparse.Namespace) -> Report:
+    from .density import letter_density_curve, ratio_curve
     if args.kind == "ratio":
         samples = ratio_curve(args.n_max)
     else:
@@ -122,6 +113,7 @@ def _cmd_curve(args: argparse.Namespace) -> Report:
 
 
 def _cmd_palindromes(args: argparse.Namespace) -> Report:
+    from .palindromes import pal_density_table, palindrome_report
     if (args.pattern is None) == (args.prefix is None):
         raise UsageError("palindromes needs --pattern or (--prefix and --length)")
     if args.pattern is not None:
@@ -144,10 +136,12 @@ def _cmd_palindromes(args: argparse.Namespace) -> Report:
 
 
 def _cmd_scattered(args: argparse.Namespace) -> Report:
+    from .palindromes import sp_count
     return Report({"word": args.pattern, "sp_count": sp_count(_parse_word(args.pattern))})
 
 
 def _cmd_squarefree(args: argparse.Namespace) -> Report:
+    from .squarefree import brandenburg_table, enumerate_square_free
     if (args.length is None) == (args.n_max is None):
         raise UsageError("squarefree needs exactly one of --length or --n-max")
     if args.n_max is not None and args.alphabet != 3:
@@ -162,7 +156,7 @@ def _cmd_squarefree(args: argparse.Namespace) -> Report:
         )
     rows = brandenburg_table(args.n_max)
     return Report(
-        (asdict(r) for r in rows),
+        (vars(r) for r in rows),
         [
             f"n={r.n} s_n={r.s_n} lower={r.lower:.4f} upper={r.upper:.4f} "
             f"lower_holds={_cell(r.lower_holds)} upper_holds={_cell(r.upper_holds)}"
@@ -172,6 +166,7 @@ def _cmd_squarefree(args: argparse.Namespace) -> Report:
 
 
 def _cmd_catalan(args: argparse.Namespace) -> Report:
+    from .catalan import catalan_table
     records = catalan_table(args.n_max)
     return Report(
         (
@@ -188,6 +183,7 @@ def _cmd_catalan(args: argparse.Namespace) -> Report:
 
 
 def _cmd_fuzzy(args: argparse.Namespace) -> Report:
+    from .fuzzy import fuzzy_fib_word, word_membership
     fw = fuzzy_fib_word(args.n, args.mu_a, args.mu_b)
     degrees = " ".join(map(repr, fw.memberships))
     return Report(
@@ -197,6 +193,8 @@ def _cmd_fuzzy(args: argparse.Namespace) -> Report:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> Report:
+    from .density import ratio_curve
+    from .fibonacci import REFERENCE_SEEDS, fib_word
     word = fib_word(22, REFERENCE_SEEDS)
     ones = word.text.count("1")
     zeros = word.text.count("0")
@@ -211,7 +209,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> Report:
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
     from . import verify  # the suites and the oracle load only for this command
-
     results = [(name, *suite()) for name, suite in verify.SUITES]
     lines = [f"verify {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
@@ -294,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         report = args.handler(args)
         text = report.render(args.format)
         if args.out:  # encoded first, so text that cannot be encoded leaves no file
-            Path(args.out).write_bytes(text.encode("utf-8"))
+            data = text.encode("utf-8")
+            with open(args.out, "wb") as out:
+                out.write(data)
         else:
             sys.stdout.write(text)
     except UsageError as exc:

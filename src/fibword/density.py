@@ -14,14 +14,13 @@ regularized incomplete gamma by series and continued fraction on the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, count, repeat
 from operator import add
 
 from .fibonacci import PHI, fib, infinite_prefix
-from .words import Word, _letter_masks, _require_same_alphabet
+from .words import Word, _letter_masks, _Record, _require_same_alphabet
 
 
 class DensitySample:
@@ -117,8 +116,7 @@ def letter_density_curve(letter: str, n_max: int) -> list[DensitySample]:
     return list(map(DensitySample, range(1, n_max + 1), repeat(None), counts))
 
 
-@dataclass(frozen=True)
-class IntegralParams:
+class IntegralParams(_Record):
     """Parameters of the integral model: the oriented integral of
     exp(-x*(1 + 1/tau)) * x**(k-1) from a to b.
 
@@ -142,8 +140,7 @@ class IntegralParams:
             raise ValueError("b must be nonnegative (or +inf)")
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(_Record):
     """Both evaluation routes of the integral model.
 
     quadrature_error is the integrator's absolute-error estimate for the

@@ -11,10 +11,8 @@ directly with exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _unchecked_word
+from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _Record, _unchecked_word
 
 #: Largest index where the double-precision Binet form still identifies
 #: the exact integer.
@@ -37,6 +35,7 @@ def golden_ratio_bounds(digits: int = 40) -> tuple[Fraction, Fraction]:
     Useful for tolerance-free comparisons of exact rationals against the
     golden ratio (or against phi - 1, by shifting).
     """
+    from fractions import Fraction  # the only Fraction here: generating a word needs none
     scale = 10**digits
     r = math.isqrt(5 * scale * scale)  # r <= sqrt(5)*scale < r + 1
     return Fraction(r + scale, 2 * scale), Fraction(r + 1 + scale, 2 * scale)
@@ -93,8 +92,7 @@ def k_fib_ratio(k: int, n: int) -> float:
     return k_fib(k, n) / k_fib(k, n - 1)
 
 
-@dataclass(frozen=True)
-class FibSeeds:
+class FibSeeds(_Record):
     """Seed pair for the word recurrence w_n = w_{n-1} w_{n-2}."""
 
     first: Word

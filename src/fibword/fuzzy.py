@@ -8,16 +8,13 @@ fibonacci.fib_word over the seeds b, a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fibonacci import FibSeeds, fib_word
-from .words import AB, Word
+from .words import AB, Word, _Record
 
 FUZZY_GUARD = 30
 
 
-@dataclass(frozen=True)
-class FuzzyWord:
+class FuzzyWord(_Record):
     """A word whose symbols carry membership degrees in [0, 1]."""
 
     word: Word

@@ -81,14 +81,14 @@ def brute_factor_set(w: Word, k: int) -> set[Word]:
 
 
 def brute_pal_factor_set(w: Word) -> set[Word]:
-    """All distinct nonempty palindromic factors, by checking every factor."""
-    text = w.text
-    found = set()
-    for i in range(len(text)):
-        for j in range(i + 1, len(text) + 1):
-            t = text[i:j]
-            if t == t[::-1]:
-                found.add(t)
+    """All distinct nonempty palindromic factors, grown one matching pair of ends at a time
+    from each of the 2n - 1 centres (a letter, or the gap between two)."""
+    text, n, found = w.text, len(w.text), set()
+    for centre in range(2 * n - 1):
+        i, j = centre // 2, (centre + 1) // 2
+        while i >= 0 and j < n and text[i] == text[j]:
+            found.add(text[i : j + 1])
+            i, j = i - 1, j + 1
     return {Word(w.alphabet, t) for t in found}
 
 

@@ -10,14 +10,12 @@ with exact big integers over the intervals reachable from the whole word.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from itertools import chain, compress, product, repeat
 from operator import add, sub
-from typing import Optional
 
 from .density import DensitySample, count_occurrences
 from .fibonacci import infinite_prefix
-from .words import BINARY, Word, _unchecked_word
+from .words import BINARY, Word, _Record, _unchecked_word
 
 #: sp_count's cost is the reachable intervals (~17 % of |w|^2/2 on random words,
 #: ~6 % on Fibonacci prefixes) times the letters looked up in each: at the guard a
@@ -46,15 +44,14 @@ def is_numeric_palindrome(n: int) -> bool:
     return s == s[::-1]
 
 
-@dataclass(frozen=True)
-class PalindromeReport:
+class PalindromeReport(_Record):
     """Distinct palindromic factors of a word, plus the subsequence count
     when it has been computed."""
 
     word: Word
     pal_factors: tuple[Word, ...]
     p_count: int
-    sp_count: Optional[int] = None
+    sp_count: int | None = None
 
 
 def _pal_factor_strings(text: str) -> list[str]:
@@ -164,7 +161,8 @@ def sp_delta(w: Word, symbol: str) -> int:
 def palindrome_report(w: Word) -> PalindromeReport:
     """Full report: palindromic factors, P(w) and SP(w)."""
     sp = sp_count(w)  # first, so a word past the SP guard builds no factor string
-    return replace(pal_factors(w), sp_count=sp)
+    r = pal_factors(w)
+    return PalindromeReport(r.word, r.pal_factors, r.p_count, sp)
 
 
 def pal_density_table(prefix_len: int, length: int) -> dict[Word, DensitySample]:

@@ -10,10 +10,9 @@ never asserted: the printed constants fail at small n (s(1) = 3 < 6.19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .words import AB, ABC, BINARY, Morphism, Word, _letter_masks, _unchecked_word
+from .words import AB, ABC, BINARY, Morphism, Word, _letter_masks, _Record, _unchecked_word
 
 #: Thue-Morse substitution; its fixed point from 0 is overlap-free.
 THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
@@ -76,8 +75,7 @@ def square_free_count(alphabet_size: int, n: int) -> int:
     return len(texts)
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(_Record):
     """One row of the growth-bound table, with both bound flags computed
     from the inequalities exactly as printed."""
 

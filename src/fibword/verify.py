@@ -8,9 +8,9 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import chain, product
-from typing import Callable, Iterator
 
 from . import oracle
 from .density import IntegralParams, count_occurrences, integral_density
@@ -60,7 +60,7 @@ def _scattered_palindromes() -> Iterator[bool]:
 
 
 def _palindromic_factors() -> Iterator[bool]:
-    # palindromic factor sets: eertree vs brute filter
+    # palindromic factor sets: eertree vs the brute scan around every centre
     rng = random.Random(SEED)
     words = (_random_word(rng, AB, 0, 120) for _ in range(150))
     return (set(pal_factors(w).pal_factors) != oracle.brute_pal_factor_set(w) for w in words)

@@ -9,13 +9,58 @@ word serializes as the empty string.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 #: Morphism.fixed_point_prefix (and fib_word) refuse more symbols than this.  Peak RSS past
 #: the import is 3.3-3.5 bytes per symbol for infinite_prefix and 3.0 for thue_morse_prefix
 #: at 2**24 and 2**26 symbols (2-CPU VM, Python 3.11), so ~1.6-1.9 GB at the guard.
 SIZE_GUARD = 2**29
 _SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
+
+
+class _DataclassFields:  # dataclasses is imported only when its functions ask for a record's fields
+    def __get__(self, record: object, cls: type[_Record]) -> dict:
+        import dataclasses
+        twin = type(cls.__name__, (), {"__annotations__": cls.__annotations__, **cls._defaults})
+        return dataclasses.dataclass(frozen=True)(twin).__dataclass_fields__
+
+
+class _Record:
+    """Base of the frozen result records.  A subclass declares its fields as annotations (a class
+    value is the default); __init__ takes them by position or keyword, then runs __post_init__'s
+    checks.  As a frozen dataclass (dataclasses.fields/asdict/replace accept it), a record equals and
+    hashes by its fields only in its class, prints as ``Name(field=value, ...)``, refuses assignment."""
+
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]) or len(values) < len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        self.__dict__.update((name, values[name]) for name in names)  # vars(record) in field order
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass with constraints overrides this."""
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 class Alphabet:
@@ -109,7 +154,7 @@ class Word:
     def __iter__(self) -> Iterator[str]:
         return iter(self.text)
 
-    def __getitem__(self, key: Union[int, slice]) -> Union[str, "Word"]:
+    def __getitem__(self, key: int | slice) -> str | Word:
         if isinstance(key, slice):
             return _unchecked_word(self.alphabet, self.text[key])
         return self.text[key]

@@ -1,5 +1,6 @@
 """The command-line front end: outputs, formats, determinism, exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -518,6 +519,55 @@ def test_scipy_loads_only_for_the_integral_model():
         [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_LOAD_PROBE = """
+import sys
+before = set(sys.modules)  # the interpreter's own start-up set, site's imports included
+from fibword.cli import main
+code = main({argv})
+print()
+print(code, sorted(set(sys.modules) - before))
+"""
+_DENSITY_MODULES = {"density", "fibonacci", "words"}
+_PALINDROME_MODULES = {"palindromes", *_DENSITY_MODULES}
+
+
+# The README's commands in text format, with the fibword modules besides fibword.cli each runs.
+_README_COMMANDS = [
+    (["generate", "--n", "6"], {"fibonacci", "words"}),
+    (["generate", "--length", "34"], {"fibonacci", "words"}),
+    (["generate", "--n", "22", "--seeds", "1,10"], {"fibonacci", "words"}),
+    (["density", "--pattern", "11", "--prefix", "1000"], _DENSITY_MODULES),
+    (["density", "--a", "0", "--b", "inf", "--k", "1", "--tau", "1"], _DENSITY_MODULES),
+    (["curve", "--n-max", "100"], _DENSITY_MODULES),
+    (["curve", "--kind", "letter", "--letter", "0", "--n-max", "100"], _DENSITY_MODULES),
+    (["palindromes", "--pattern", "abaa"], _PALINDROME_MODULES),
+    (["palindromes", "--prefix", "1000", "--length", "3"], _PALINDROME_MODULES),
+    (["scattered", "--pattern", "abaa"], _PALINDROME_MODULES),
+    (["squarefree", "--length", "5"], {"squarefree", "words"}),
+    (["squarefree", "--n-max", "12"], {"squarefree", "words"}),
+    (["catalan", "--n-max", "10"], {"catalan", "fibonacci", "words"}),
+    (["fuzzy", "--n", "4", "--mu-a", "0.8", "--mu-b", "0.5"], {"fuzzy", "fibonacci", "words"}),
+    (["reproduce-3-2"], _DENSITY_MODULES),
+    (["verify"], {"verify", "oracle", "squarefree", *_PALINDROME_MODULES}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _README_COMMANDS, ids=[" ".join(argv) for argv, _ in _README_COMMANDS])
+def test_each_command_loads_only_its_own_modules(argv, modules):
+    # Each in a fresh interpreter: fibword.cli loads only the modules the command runs, no
+    # dataclasses (which pulls in inspect and ast) and, since text needs no encoder, no json.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = _LOAD_PROBE.format(argv=ascii(argv))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    loaded = set(ast.literal_eval(loaded))
+    assert code == "0"
+    assert {m for m in loaded if m.startswith("fibword")} == {"fibword", "fibword.cli"} | {
+        f"fibword.{m}" for m in modules}
+    assert not {"dataclasses", "inspect", "json"} & loaded
 
 
 def _mostly(good, bad):

@@ -4,6 +4,9 @@ The oracles back every differential test in the suite, so they get pinned
 to hand-verifiable values here before anything else trusts them.
 """
 
+import itertools
+import random
+
 import pytest
 
 from fibword import oracle
@@ -59,6 +62,24 @@ def test_brute_factor_set():
 def test_brute_pal_factor_set():
     got = {w.text for w in oracle.brute_pal_factor_set(AB.word("abaa"))}
     assert got == {"a", "b", "aa", "aba"}
+
+
+def _every_palindromic_factor(text):
+    return {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)
+            if text[i:j] == text[i:j][::-1]}
+
+
+def test_brute_pal_factor_set_matches_every_factor_filter():
+    # the centre scan against a filter of every factor: all binary words of length <= 12,
+    # then 200 seeded ternary words of length <= 60
+    rng = random.Random(20)
+    ternary = ["".join(rng.choices("abc", k=rng.randint(0, 60))) for _ in range(200)]
+    binary = ["".join(t) for n in range(13) for t in itertools.product("ab", repeat=n)]
+    for alphabet, texts in ((AB, binary), (ABC, ternary)):
+        for text in texts:
+            got = oracle.brute_pal_factor_set(alphabet.word(text))
+            assert {w.text for w in got} == _every_palindromic_factor(text), text
+            assert {w.alphabet for w in got} <= {alphabet}
 
 
 def test_brute_square_free_words_small():
