@@ -17,6 +17,10 @@ from collections.abc import Iterable, Iterator, Mapping
 SIZE_GUARD = 2**29
 _SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
 
+#: distinct_factors holds its distinct 64-window blocks and its distinct factors as strings;
+#: it refuses a word once their characters, counted block by block in text order, pass this.
+DISTINCT_FACTORS_GUARD = 10**8
+
 
 class _DataclassFields:  # dataclasses is imported only when its functions ask for a record's fields
     def __get__(self, record: object, cls: type[_Record]) -> dict:
@@ -299,8 +303,16 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
     the empty word."""
     if k < 0:
         raise ValueError("factor length must be nonnegative")
-    text = w.text
-    if k > len(text):
-        return []
-    seen = {text[i : i + k] for i in range(len(text) - k + 1)}
+    text, blocks, seen, block_chars = w.text, set(), set(), 0
+    # window i is cuts[i % 64] of the block at i - i % 64; only a block not met before is cut up
+    cuts = [slice(j, j + k) for j in range(64)]
+    for s in range(0, len(text) - k + 1, 64):
+        if (block := text[s : s + k + 63]) not in blocks:
+            blocks.add(block)
+            seen.update(map(block.__getitem__, cuts[: len(block) - k + 1]))
+            block_chars += len(block)
+            if (held := block_chars + len(seen) * k) > DISTINCT_FACTORS_GUARD:
+                raise ValueError(
+                    f"distinct_factors is limited to {DISTINCT_FACTORS_GUARD} characters of blocks and "
+                    f"factors in all; this word's first {s + len(block)} symbols need {held}")
     return [_unchecked_word(w.alphabet, t) for t in w.alphabet.sort_texts(seen)]

@@ -238,6 +238,35 @@ def test_every_factor_is_a_scattered_subword():
                     assert is_scattered_subword(v, x)
 
 
+def test_distinct_factors_match_oracle_across_block_boundaries():
+    # distinct_factors reads the text in blocks of 64 windows: every k up to n + 1 meets every
+    # residue of n - k mod 64, and k runs past the block width and past n
+    rng = random.Random(23)
+    words = []
+    for n in [*range(151), 191, 192, 193, 255, 256, 257, 300]:
+        alpha = Alphabet("badc"[: n % 4 + 1])  # "ba...": not in code-point order
+        words.append(alpha.word("".join(rng.choices(alpha.symbols, k=n))))
+    for n in (63, 64, 65, 127, 128, 129, 200, 300):
+        words += [infinite_prefix(n), thue_morse_prefix(n), AB.word("a" * n)]
+    for w in words:
+        for k in range(len(w) + 2):
+            mine = [v.text for v in distinct_factors(w, k)]
+            assert set(mine) == {v.text for v in oracle.brute_factor_set(w, k)}, (w, k)
+            keys = [w.alphabet.sort_key(t) for t in mine]
+            assert keys == sorted(set(keys)), (w, k)  # in alphabet order, no repeats
+
+
+def test_distinct_factors_refuses_words_past_the_character_guard():
+    # 17,711 distinct factors of 2*10**4 symbols would be held; the count passes 10**8
+    # at the block that ends at symbol 24,927, whatever the hash seed
+    with pytest.raises(ValueError, match=r"limited to 100000000 .* first 24927 symbols need 100104851$"):
+        distinct_factors(infinite_prefix(4 * 10**4), 2 * 10**4)
+
+
+def test_distinct_factors_admits_a_long_factor_of_a_unary_word():
+    assert distinct_factors(AB.word("a" * 10**5), 5 * 10**4) == [AB.word("a" * 5 * 10**4)]
+
+
 def test_factor_complexity_matches_oracle():
     prefix = infinite_prefix(610)
     for k in range(1, 16):
