@@ -4,7 +4,9 @@ Every command returns one Report; main renders it as text, CSV, or JSON to
 stdout or to --out.  Output is deterministic.  Exit codes: 0 success,
 2 usage error, 3 domain/guard error, out of memory or output that cannot
 be encoded or written, 1 verification mismatch.  Each command imports only the
-modules it runs, and json only when JSON is rendered.
+modules it runs, and json only when JSON is rendered.  A flag outside the chosen
+mode is a usage error: --seeds goes only with --n, --letter (default 0) only with
+--kind letter (default ratio), and --alphabet (default 3) only with --length.
 """
 
 from __future__ import annotations
@@ -63,29 +65,21 @@ def _parse_word(text: str) -> Word:
 
 
 def _cmd_generate(args: argparse.Namespace) -> Report:
-    from .fibonacci import DEFAULT_SEEDS, FibSeeds, fib_word, infinite_prefix
-    if (args.n is None) == (args.length is None):
-        raise UsageError("generate needs exactly one of --n or --length")
-    if args.n is not None:
-        seeds = DEFAULT_SEEDS
-        if args.seeds:
-            if len(parts := args.seeds.split(",")) != 2:
-                raise UsageError("--seeds expects two comma-separated words, e.g. 1,10")
-            seeds = FibSeeds(Word(BINARY, parts[0]), Word(BINARY, parts[1]))
-        word = fib_word(args.n, seeds)
-    else:
+    from .fibonacci import FibSeeds, fib_word, infinite_prefix
+    if args.length is not None:
         word = infinite_prefix(args.length)
+    elif args.seeds is None:
+        word = fib_word(args.n)
+    elif len(parts := args.seeds.split(",")) != 2:
+        raise UsageError("--seeds expects two comma-separated words, e.g. 1,10")
+    else:
+        word = fib_word(args.n, FibSeeds(Word(BINARY, parts[0]), Word(BINARY, parts[1])))
     return Report({"word": word.text, "length": len(word)}, [word.text], (["word"], [[word.text]]))
 
 
 def _cmd_density(args: argparse.Namespace) -> Report:
     from .density import IntegralParams, density, integral_density
-    integral_flags = (args.a, args.b, args.k, args.tau)
     if args.pattern is not None:
-        if any(v is not None for v in integral_flags):
-            raise UsageError("choose either --pattern/--prefix or --a/--b/--k/--tau")
-        if args.prefix is None:
-            raise UsageError("--pattern needs --prefix")
         pattern, n = args.pattern, args.prefix
         s = density(Word(BINARY, pattern), n)
         return Report(
@@ -93,8 +87,6 @@ def _cmd_density(args: argparse.Namespace) -> Report:
             [f"pattern: {pattern}", f"n: {n}", f"count: {s.count}", f"density: {s.value_real}"],
             (["pattern", "count", "n", "density"], [[pattern, s.count, n, s.value_real]]),
         )
-    if any(v is None for v in integral_flags):
-        raise UsageError("density needs --pattern/--prefix or all of --a/--b/--k/--tau")
     return Report(vars(integral_density(IntegralParams(a=args.a, b=args.b, k=args.k, tau=args.tau))))
 
 
@@ -103,7 +95,7 @@ def _cmd_curve(args: argparse.Namespace) -> Report:
     if args.kind == "ratio":
         samples = ratio_curve(args.n_max)
     else:
-        samples = letter_density_curve(args.letter, args.n_max)
+        samples = letter_density_curve(args.letter or "0", args.n_max)
     return Report(
         ({"n": s.n, "numerator": v.numerator, "denominator": v.denominator, "value": s.value_real}
          for s in samples for v in [s.value]),  # read once: .value builds a Fraction on each read
@@ -114,8 +106,6 @@ def _cmd_curve(args: argparse.Namespace) -> Report:
 
 def _cmd_palindromes(args: argparse.Namespace) -> Report:
     from .palindromes import pal_density_table, palindrome_report
-    if (args.pattern is None) == (args.prefix is None):
-        raise UsageError("palindromes needs --pattern or (--prefix and --length)")
     if args.pattern is not None:
         r = palindrome_report(_parse_word(args.pattern))
         word, factors = r.word.text, [f.text for f in r.pal_factors]
@@ -125,8 +115,6 @@ def _cmd_palindromes(args: argparse.Namespace) -> Report:
              f"p_count: {r.p_count}", f"sp_count: {r.sp_count}"],
             (["factor"], zip(factors or [""])),  # no factors still prints one empty row
         )
-    if args.length is None:
-        raise UsageError("--prefix needs --length")
     table = pal_density_table(args.prefix, args.length).items()
     return Report(
         ({"palindrome": w.text, "count": s.count, "n": s.n, "density": s.value_real}
@@ -142,12 +130,8 @@ def _cmd_scattered(args: argparse.Namespace) -> Report:
 
 def _cmd_squarefree(args: argparse.Namespace) -> Report:
     from .squarefree import brandenburg_table, enumerate_square_free
-    if (args.length is None) == (args.n_max is None):
-        raise UsageError("squarefree needs exactly one of --length or --n-max")
-    if args.n_max is not None and args.alphabet != 3:
-        raise UsageError("the growth-bound table is ternary: --alphabet 2 goes with --length only")
     if args.length is not None:
-        texts = [w.text for w in enumerate_square_free(args.alphabet, args.length)]
+        texts = [w.text for w in enumerate_square_free(args.alphabet or 3, args.length)]
         return Report(
             {"n": args.length, "count": len(texts), "words": texts},
             # the empty word (--length 0) gets no text line of its own
@@ -157,11 +141,8 @@ def _cmd_squarefree(args: argparse.Namespace) -> Report:
     rows = brandenburg_table(args.n_max)
     return Report(
         (vars(r) for r in rows),
-        [
-            f"n={r.n} s_n={r.s_n} lower={r.lower:.4f} upper={r.upper:.4f} "
-            f"lower_holds={_cell(r.lower_holds)} upper_holds={_cell(r.upper_holds)}"
-            for r in rows
-        ],
+        [f"n={r.n} s_n={r.s_n} lower={r.lower:.4f} upper={r.upper:.4f} "
+         f"lower_holds={_cell(r.lower_holds)} upper_holds={_cell(r.upper_holds)}" for r in rows],
     )
 
 
@@ -169,15 +150,9 @@ def _cmd_catalan(args: argparse.Namespace) -> Report:
     from .catalan import catalan_table
     records = catalan_table(args.n_max)
     return Report(
-        (
-            {"n": r.n, "c_n": r.c_n, "table_expr": r.table_expr, "g_numerator": r.g_n.numerator,
-             "g_denominator": r.g_n.denominator, "g": float(r.g_n)}
-            for r in records
-        ),
-        (
-            f"n={r.n} c_n={r.c_n} table_expr={r.table_expr} g_n={r.g_n} ({float(r.g_n)!r})"
-            for r in records
-        ),
+        ({"n": r.n, "c_n": r.c_n, "table_expr": r.table_expr, "g_numerator": r.g_n.numerator,
+          "g_denominator": r.g_n.denominator, "g": float(r.g_n)} for r in records),
+        (f"n={r.n} c_n={r.c_n} table_expr={r.table_expr} g_n={r.g_n} ({float(r.g_n)!r})" for r in records),
         (["n", "c_n", "table_expr", "g_n"], ((r.n, r.c_n, r.table_expr, r.g_n) for r in records)),
     )
 
@@ -216,6 +191,29 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     return Report(None, lines, code=1 if failed else 0)
 
 
+def _check_mode(args: argparse.Namespace) -> None:
+    """Refuse argv unless it gives exactly one of its command's modes, the one whose needed flags
+    are all given, and no flag outside it.  Modes name flags by dest; [f] may be given, f=v needs v."""
+    def given(flag: str) -> bool:
+        name, _, value = flag.strip("[]").partition("=")
+        return getattr(args, name) == value if value else getattr(args, name) is not None
+
+    def show(flags: Iterable[str]) -> str:
+        return "/".join("--" + f.strip("[]").replace("_", "-").replace("=", " ") for f in flags)
+
+    modes = [mode.split() for mode in args.modes]
+    needs = [[f for f in mode if f[0] != "["] for mode in modes]
+    chosen = [i for i, flags in enumerate(needs) if all(map(given, flags))]
+    begun = [flags for flags in needs if any(map(given, flags))]
+    if begun and not chosen:
+        raise UsageError(f"{show(filter(given, begun[0]))} needs {show(f for f in begun[0] if not given(f))}")
+    if len(chosen) != 1:
+        raise UsageError(f"{args.command} needs exactly one of {' or '.join(map(show, needs))}")
+    for flag in chain(*modes):
+        if flag not in modes[chosen[0]] and given(flag):
+            raise UsageError(f"{show([flag])} does not go with {show(needs[chosen[0]])}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibword",
@@ -223,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, handler) -> None:
+    def common(sp: argparse.ArgumentParser, handler, *modes: str) -> None:
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
         sp.add_argument("--out", default=None, help="write the report to this path")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, modes=modes or [""])  # no modes: one that needs no flag
 
     sp = sub.add_parser("generate", help="emit a word of the recurrence or a prefix of the infinite word")
     sp.add_argument("--n", type=int, help="index of the recurrence word")
     sp.add_argument("--seeds", help="two comma-separated seed words, e.g. 1,10")
     sp.add_argument("--length", type=int, help="emit this prefix of the infinite word instead")
-    common(sp, _cmd_generate)
+    common(sp, _cmd_generate, "n [seeds]", "length")
 
     sp = sub.add_parser("density", help="pattern density in a prefix, or the integral model")
     sp.add_argument("--pattern", help="binary pattern to count")
@@ -241,19 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, help="integral upper bound (inf allowed)")
     sp.add_argument("--k", type=float, help="integral power exponent")
     sp.add_argument("--tau", type=float, help="integral decay constant")
-    common(sp, _cmd_density)
+    common(sp, _cmd_density, "pattern prefix", "a b k tau")
 
     sp = sub.add_parser("curve", help="ratio or letter-density series (figure data)")
-    sp.add_argument("--kind", choices=("ratio", "letter"), default="ratio")
-    sp.add_argument("--letter", choices=("0", "1"), default="0")
+    sp.add_argument("--kind", choices=("ratio", "letter"), default="ratio", help="the series (default ratio)")
+    sp.add_argument("--letter", choices=("0", "1"), help="the letter of --kind letter (default 0)")
     sp.add_argument("--n-max", type=int, required=True)
-    common(sp, _cmd_curve)
+    common(sp, _cmd_curve, "kind=ratio", "kind=letter [letter]")
 
     sp = sub.add_parser("palindromes", help="palindromic factor report or density table")
     sp.add_argument("--pattern", help="word to analyse")
     sp.add_argument("--prefix", type=int, help="prefix length for the density table")
     sp.add_argument("--length", type=int, help="palindrome length for the density table")
-    common(sp, _cmd_palindromes)
+    common(sp, _cmd_palindromes, "pattern", "prefix length")
 
     sp = sub.add_parser("scattered", help="distinct palindromic subsequence count")
     sp.add_argument("--pattern", required=True, help="word to analyse")
@@ -261,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("squarefree", help="square-free enumeration or growth-bound table")
     sp.add_argument("--length", type=int, help="enumerate words of this length")
-    sp.add_argument("--alphabet", type=int, choices=(2, 3), default=3, help="alphabet size for --length")
+    sp.add_argument("--alphabet", type=int, choices=(2, 3), help="alphabet size for --length (default 3)")
     sp.add_argument("--n-max", type=int, help="emit the growth-bound table up to n")
-    common(sp, _cmd_squarefree)
+    common(sp, _cmd_squarefree, "length [alphabet]", "n_max")
 
     sp = sub.add_parser("catalan", help="exact Catalan rows: n, C_n, C_n - 1, g(n)")
     sp.add_argument("--n-max", type=int, required=True)
@@ -288,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_mode(args)
         report = args.handler(args)
         text = report.render(args.format)
         if args.out:  # encoded first, so text that cannot be encoded leaves no file

@@ -73,11 +73,11 @@ def brute_overlap_scan(w: Word) -> bool:
 
 
 def brute_factor_set(w: Word, k: int) -> set[Word]:
-    """All distinct length-k factors, by slicing every window."""
+    """All distinct length-k factors, by slicing every window; one Word per distinct string."""
     if k < 0:
         raise ValueError("factor length must be nonnegative")
     text = w.text
-    return {Word(w.alphabet, text[i : i + k]) for i in range(len(text) - k + 1)}
+    return {Word(w.alphabet, t) for t in {text[i : i + k] for i in range(len(text) - k + 1)}}
 
 
 def brute_pal_factor_set(w: Word) -> set[Word]:

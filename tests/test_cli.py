@@ -460,6 +460,38 @@ def test_unencodable_out_is_exit_3_and_leaves_no_file(tmp_path, capsys):
     assert not path.exists()
 
 
+# A flag that the chosen mode never reads, or an empty --seeds: each once exited 0 and was ignored.
+_IGNORED_FLAGS = [
+    ["generate", "--length", "5", "--seeds", "1,10"],
+    ["generate", "--n", "3", "--seeds="],
+    ["palindromes", "--pattern", "abaa", "--length", "3"],
+    ["density", "--prefix", "10", "--a", "0", "--b", "1", "--k", "1", "--tau", "1"],
+    ["curve", "--kind", "ratio", "--letter", "1", "--n-max", "3"],
+    ["curve", "--letter", "1", "--n-max", "3"],
+    ["squarefree", "--n-max", "3", "--alphabet", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _IGNORED_FLAGS, ids=" ".join)
+def test_flag_outside_its_mode_is_exit_2_and_leaves_no_file(tmp_path, capsys, argv):
+    path = tmp_path / "report"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_unset_mode_flags_keep_their_defaults(capsys):
+    # --kind ratio, --letter 0 and --alphabet 3 when not given
+    for unset, given in (
+        (["curve", "--n-max", "8"], ["--kind", "ratio"]),
+        (["curve", "--kind", "letter", "--n-max", "8"], ["--letter", "0"]),
+        (["squarefree", "--length", "4"], ["--alphabet", "3"]),
+    ):
+        assert run_cli(capsys, *unset) == run_cli(capsys, *unset, *given)
+        assert run_cli(capsys, *unset)[0] == 0
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -581,9 +613,11 @@ def _int_flag(lo, hi, refused=()):
 
 
 def _flag_sets(flags, *modes):
-    """The flags of one mode of a command, or any subset of its flags."""
+    """The flags of one mode of a command, those and any of its other flags, or any subset of its flags."""
     return st.one_of(
         *(st.fixed_dictionaries({f: flags[f] for f in mode}) for mode in modes),
+        *(st.fixed_dictionaries({f: flags[f] for f in mode}, optional={f: flags[f] for f in flags if f not in mode})
+          for mode in modes),
         st.fixed_dictionaries({}, optional=flags),
     )
 
@@ -606,17 +640,17 @@ _SQUAREFREE = {"--length": _int_flag(-2, 8, [21]), "--alphabet": _mostly(st.samp
                "--n-max": _int_flag(-2, 12, [21])}
 _FUZZY = {"--n": _int_flag(-2, 12, [31]), "--mu-a": _FLOAT, "--mu-b": _FLOAT}
 # Every command but verify (about a second per run, and pinned by the golden file), with
-# admitted sizes capped well below what would allocate much.
+# admitted sizes capped well below what would allocate much: its flags, then its modes.
 _COMMANDS = {
-    "generate": _flag_sets(_GENERATE, ["--n"], ["--n", "--seeds"], ["--length"]),
-    "density": _flag_sets(_DENSITY, ["--pattern", "--prefix"], ["--a", "--b", "--k", "--tau"]),
-    "curve": _flag_sets(_CURVE, ["--kind", "--letter", "--n-max"]),
-    "palindromes": _flag_sets(_PALINDROMES, ["--pattern"], ["--prefix", "--length"]),
-    "scattered": _flag_sets({"--pattern": _PATTERN}, ["--pattern"]),
-    "squarefree": _flag_sets(_SQUAREFREE, ["--length", "--alphabet"], ["--n-max"]),
-    "catalan": _flag_sets({"--n-max": _int_flag(-2, 40, [201])}, ["--n-max"]),
-    "fuzzy": _flag_sets(_FUZZY, ["--n", "--mu-a", "--mu-b"]),
-    "reproduce-3-2": st.just({}),
+    "generate": (_GENERATE, ["--n"], ["--n", "--seeds"], ["--length"]),
+    "density": (_DENSITY, ["--pattern", "--prefix"], ["--a", "--b", "--k", "--tau"]),
+    "curve": (_CURVE, ["--kind", "--letter", "--n-max"], ["--kind", "--n-max"]),
+    "palindromes": (_PALINDROMES, ["--pattern"], ["--prefix", "--length"]),
+    "scattered": ({"--pattern": _PATTERN}, ["--pattern"]),
+    "squarefree": (_SQUAREFREE, ["--length", "--alphabet"], ["--n-max"]),
+    "catalan": ({"--n-max": _int_flag(-2, 40, [201])}, ["--n-max"]),
+    "fuzzy": (_FUZZY, ["--n", "--mu-a", "--mu-b"]),
+    "reproduce-3-2": ({}, []),
 }
 _COMMON = {"--format": _mostly(st.sampled_from(["text", "csv", "json"]), st.just("yaml")),
            "--out": st.sampled_from(["file", "missing-dir", "dir"])}
@@ -625,7 +659,7 @@ _COMMON = {"--format": _mostly(st.sampled_from(["text", "csv", "json"]), st.just
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    flags = {**draw(_COMMANDS[command]), **draw(st.fixed_dictionaries({}, optional=_COMMON))}
+    flags = {**draw(_flag_sets(*_COMMANDS[command])), **draw(st.fixed_dictionaries({}, optional=_COMMON))}
     junk = draw(_mostly(st.just([]), st.sampled_from([["--bogus"], ["stray"]])))
     return [command, *(token for flag in flags.items() for token in flag), *junk]
 
@@ -643,6 +677,11 @@ def _reject_constant(name):
 @example(["density", "--a", "0", "--b", "1", "--k", "200", "--tau", "1", "--format", "json"])
 @example(["scattered", "--pattern", "\udcff", "--out", "file"])
 @example(["palindromes", "--pattern", "\udcff"])
+# and a flag that the mode never reads, which once exited 0
+@example(["generate", "--length", "5", "--seeds", "1,10"])
+@example(["density", "--prefix", "10", "--a", "0", "--b", "1", "--k", "1", "--tau", "1"])
+@example(["palindromes", "--pattern", "abaa", "--length", "3"])
+@example(["squarefree", "--n-max", "3", "--alphabet", "3"])
 def test_cli_contract_holds_for_drawn_argv(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp()
     paths = {"file": base / "report.out", "missing-dir": base / "missing" / "report.out", "dir": base}
@@ -658,6 +697,9 @@ def test_cli_contract_holds_for_drawn_argv(tmp_path_factory, argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in stderr.getvalue()
+    if code == 0:  # every flag given was read: they all belong to one mode of the command
+        flags, *modes = _COMMANDS[argv[0]]
+        assert any({token for token in argv if token in flags} <= set(mode) for mode in modes), argv
     if code == 0 and argv[argv.index("--format") + 1 if "--format" in argv else 0] == "json":
         text = paths["file"].read_text("utf-8") if "--out" in argv else stdout.getvalue()
         json.loads(text, parse_constant=_reject_constant)
