@@ -120,8 +120,8 @@ class IntegralParams(_Record):
     """Parameters of the integral model: the oriented integral of
     exp(-x*(1 + 1/tau)) * x**(k-1) from a to b.
 
-    a > b is allowed and flips the sign (oriented-integral convention);
-    b and tau may be +inf, k may not.
+    a > b is allowed and flips the sign (oriented-integral convention); b and
+    tau may be +inf; k must be finite, gamma(k) a float (~5.6e-309 < k < ~171.62).
     """
 
     a: float
@@ -138,6 +138,10 @@ class IntegralParams(_Record):
             raise ValueError("a must be finite and nonnegative")
         if math.isnan(self.b) or self.b < 0:
             raise ValueError("b must be nonnegative (or +inf)")
+        try:
+            math.gamma(self.k)  # the closed form's domain, and _scaled's k < 171.7
+        except OverflowError:
+            raise ValueError(f"gamma({self.k!r}) overflows a float") from None
 
 
 class IntegralResult(_Record):
@@ -264,19 +268,10 @@ def integral_density(params: IntegralParams) -> IntegralResult:
     series of P below lam x = k + 1 and the continued fraction of Q above.
 
     Raises ValueError, with both values, when |quadrature - closed form|
-    exceeds 1e-9 * max(|closed form|, 1e-300) or is NaN, and when gamma(k)
-    overflows a float.
+    exceeds 1e-9 * max(|closed form|, 1e-300) or is NaN.  a == b takes the
+    same path and gives zeros; IntegralParams refuses k past gamma's range.
     """
-    lam = 1.0 + 1.0 / params.tau
-    if params.a == params.b:
-        return IntegralResult(0.0, 0.0, 0.0)
-
-    k = params.k
-    try:
-        math.gamma(k)  # the model is defined for k whose gamma(k) is a float
-    except OverflowError:
-        raise ValueError(f"gamma({k!r}) overflows a float") from None
-
+    lam, k = 1.0 + 1.0 / params.tau, params.k
     lo, hi = sorted((params.a, params.b))
     # past end, finite as lam >= 1, the integrand is below e**-50 of its largest value on [lo, inf)
     end = min(hi, max(lo, (k - 1) / lam) + (50 + 15 * math.sqrt(k)) / lam)

@@ -26,7 +26,8 @@ class _DataclassFields:  # dataclasses is imported only when its functions ask f
     def __get__(self, record: object, cls: type[_Record]) -> dict:
         import dataclasses
         twin = type(cls.__name__, (), {"__annotations__": cls.__annotations__, **cls._defaults})
-        return dataclasses.dataclass(frozen=True)(twin).__dataclass_fields__
+        cls.__dataclass_fields__ = dataclasses.dataclass(frozen=True)(twin).__dataclass_fields__
+        return cls.__dataclass_fields__  # stored on cls, they stand in for this descriptor from now on
 
 
 class _Record:

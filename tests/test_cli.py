@@ -682,6 +682,8 @@ def _reject_constant(name):
 @example(["density", "--prefix", "10", "--a", "0", "--b", "1", "--k", "1", "--tau", "1"])
 @example(["palindromes", "--pattern", "abaa", "--length", "3"])
 @example(["squarefree", "--n-max", "3", "--alphabet", "3"])
+@example(["curve", "--kind", "ratio", "--letter", "1", "--n-max", "3"])
+@example(["curve", "--letter", "1", "--n-max", "3"])
 def test_cli_contract_holds_for_drawn_argv(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp()
     paths = {"file": base / "report.out", "missing-dir": base / "missing" / "report.out", "dir": base}
@@ -700,6 +702,8 @@ def test_cli_contract_holds_for_drawn_argv(tmp_path_factory, argv):
     if code == 0:  # every flag given was read: they all belong to one mode of the command
         flags, *modes = _COMMANDS[argv[0]]
         assert any({token for token in argv if token in flags} <= set(mode) for mode in modes), argv
+        if "--letter" in argv:  # curve reads --letter only with --kind letter
+            assert "--kind" in argv and argv[argv.index("--kind") + 1] == "letter", argv
     if code == 0 and argv[argv.index("--format") + 1 if "--format" in argv else 0] == "json":
         text = paths["file"].read_text("utf-8") if "--out" in argv else stdout.getvalue()
         json.loads(text, parse_constant=_reject_constant)

@@ -263,9 +263,11 @@ def test_integral_analytic_case():
 
 
 def test_integral_degenerate_interval():
-    result = integral_density(IntegralParams(a=2.0, b=2.0, k=1.5, tau=1.0))
-    assert result.quadrature == 0.0
-    assert result.closed_form == 0.0
+    # a == b takes the one path of every interval: an empty quadrature sum, empty closed-form pieces
+    for a, k, tau in product((0.0, 5e-324, 1e-300, 2.0, 1e10, 1.7e308), (1e-300, 1.5, 70.0, 171.6),
+                             (1e-320, 1.0, 1e300, math.inf)):
+        result = integral_density(IntegralParams(a=a, b=a, k=k, tau=tau))
+        assert [(v, math.copysign(1.0, v)) for v in vars(result).values()] == [(0.0, 1.0)] * 3, (a, k, tau)
 
 
 def test_integral_dual_paths_agree_on_grid():

@@ -90,6 +90,21 @@ def test_brute_square_free_words_small():
         oracle.brute_square_free_words(4, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: oracle.brute_sp_enumerate(AB.word("a" * 21)), r"brute enumeration is limited to \|w\| <= 20"),
+        (lambda: oracle.brute_factor_set(AB.word("ab"), -1), "factor length must be nonnegative"),
+        (lambda: oracle.brute_square_free_words(2, -1), "length must be nonnegative"),
+        (lambda: oracle.brute_square_free_words(3, 16), "brute enumeration is limited to n <= 15"),
+    ],
+    ids=["sp-enumerate-past-20", "factor-set-negative-k", "square-free-negative-n", "square-free-past-15"],
+)
+def test_oracle_guards_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_delta_factorizations_unique_on_images():
     assert [w.text for w in oracle.delta_factorizations(AB.word("abbaba"))] == ["abc"]
     assert [w.text for w in oracle.delta_factorizations(AB.word("a"))] == ["c"]

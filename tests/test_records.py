@@ -9,6 +9,7 @@ dataclasses.fields, asdict and replace accept them.
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,7 @@ def test_dataclasses_functions_accept_records(cls, fields, change, text):
     record = cls(**fields)
     assert dataclasses.is_dataclass(record)
     assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+    assert all(map(operator.is_, dataclasses.fields(cls), dataclasses.fields(record)))  # built once per class
     assert dataclasses.asdict(record) == fields
     name, value = change
     changed = dataclasses.replace(record, **{name: value})
@@ -95,6 +97,8 @@ def test_dataclasses_functions_accept_records(cls, fields, change, text):
 def test_dataclasses_replace_runs_the_checks_and_keeps_defaults():
     with pytest.raises(ValueError, match="^k and tau must be positive$"):
         dataclasses.replace(IntegralParams(0, 1, 1, 1), k=-1)
+    with pytest.raises(ValueError, match=r"^gamma\(200\) overflows a float$"):
+        dataclasses.replace(IntegralParams(0, 1, 1, 1), k=200)
     [*_, sp_field] = dataclasses.fields(PalindromeReport)
     assert (sp_field.name, sp_field.default) == ("sp_count", None)
 
@@ -126,6 +130,9 @@ def test_record_constructor_refuses_missing_and_unknown_fields():
         (lambda: IntegralParams(0, 1, 0, 1), "k and tau must be positive"),
         (lambda: IntegralParams(0, 1, 1, -1), "k and tau must be positive"),
         (lambda: IntegralParams(0, 1, math.inf, 1), "k must be finite"),
+        (lambda: IntegralParams(0, 1, 200, 1), r"gamma\(200\) overflows a float"),
+        (lambda: IntegralParams(5.0, 5.0, 171.7, 1.0), r"gamma\(171\.7\) overflows a float"),
+        (lambda: IntegralParams(0.0, 0.0, 5e-324, 1.0), r"gamma\(5e-324\) overflows a float"),
         (lambda: IntegralParams(-1, 1, 1, 1), "a must be finite and nonnegative"),
         (lambda: IntegralParams(math.inf, 1, 1, 1), "a must be finite and nonnegative"),
         (lambda: IntegralParams(a=0, b=math.nan, k=1, tau=1), r"b must be nonnegative \(or \+inf\)"),
