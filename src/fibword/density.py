@@ -67,7 +67,7 @@ def count_occurrences(pattern: Word, text: Word) -> int:
         raise ValueError("pattern must be nonempty")
     _require_same_alphabet(pattern, text)
     p, t = pattern.text, text.text
-    masks = _letter_masks(t, text.alphabet)
+    masks = _letter_masks(text)
     hits = masks[p[0]]
     for j, c in enumerate(p[1:64], 1):
         hits &= masks[c] >> j
@@ -87,18 +87,17 @@ def density(pattern: Word, prefix_len: int) -> DensitySample:
 
 
 def ratio_curve(n_max: int) -> list[DensitySample]:
-    """Samples (n, F_n / F_{n+1}) for n = 1..n_max, exact.
-
-    Values oscillate around and converge to phi - 1.  Each is 1 / (1 + the
-    one before), whose gcds are trivial: F_n and F_(n+1) are coprime.
-    """
+    """Samples (n, F_n / F_{n+1}) for n = 1..n_max, exact; they oscillate around and
+    converge to phi - 1.  F_n and F_(n+1) are coprime, so each pair is set into a
+    Fraction as it stands, in lowest terms without a gcd."""
     if not 1 <= n_max <= 10**4:
         raise ValueError("n_max must be between 1 and 10**4")
-    out = []
-    r = Fraction(1)  # F_1 / F_2
+    out, f, g = [], 1, 1
     for n in range(1, n_max + 1):
+        r = object.__new__(Fraction)  # as Fraction._from_coprime_ints (Python 3.12) builds it
+        r._numerator, r._denominator = f, g
         out.append(DensitySample(n, r))
-        r = 1 / (1 + r)
+        f, g = g, f + g
     return out
 
 

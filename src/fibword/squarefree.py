@@ -129,7 +129,7 @@ def _has_periodic_factor(w: Word, extra: int) -> bool:
     # Bit i of a letter's mask is set iff symbol i is that letter, so bit i
     # of `agree` is set iff symbols i and i+p are equal; such a factor is
     # p + extra consecutive agreement positions.
-    masks = _letter_masks(w.text, w.alphabet).values()
+    masks = _letter_masks(w).values()
     for p in range(1, (len(w) - extra) // 2 + 1):
         agree = 0
         for m in masks:

@@ -3,8 +3,9 @@
 Words are immutable sequences of single-character symbols drawn from a
 declared alphabet.  Every operation is pure and returns a fresh value, so
 words are safe to share across threads and to use as set members or dict
-keys.  A word serializes as the plain string of its symbols; the empty
-word serializes as the empty string.
+keys; the one slot filled later, a word's letter masks, is idempotent.  A
+word serializes as the plain string of its symbols; the empty word
+serializes as the empty string.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class Alphabet:
     def __hash__(self) -> int:
         return hash(self.symbols)
 
+    def __reduce__(self) -> tuple:
+        return Alphabet, (self.symbols,)  # the tables are rebuilt, the mask tables on first use
+
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.symbols)!r})"
 
@@ -145,13 +149,15 @@ ABC = Alphabet("abc")
 class Word:
     """An immutable finite word over a fixed alphabet (possibly empty)."""
 
-    __slots__ = ("alphabet", "text")
+    __slots__ = ("alphabet", "text", "_masks")
 
     def __init__(self, alphabet: Alphabet, text: str = ""):
         if foreign := text.translate(alphabet._delete):
             raise ValueError(f"symbols {sorted(set(foreign))!r} not in {alphabet!r}")
-        self.alphabet = alphabet
-        self.text = text
+        self.alphabet, self.text, self._masks = alphabet, text, None  # _letter_masks fills _masks
+
+    def __reduce__(self) -> tuple:
+        return Word, (self.alphabet, self.text)  # pickles and copies carry no masks
 
     def __len__(self) -> int:
         return len(self.text)
@@ -253,8 +259,7 @@ def _unchecked_word(alphabet: Alphabet, text: str) -> Word:
     """A Word built without validation, for text already known to be over
     alphabet (a slice or join of words over it)."""
     w = object.__new__(Word)
-    w.alphabet = alphabet
-    w.text = text
+    w.alphabet, w.text, w._masks = alphabet, text, None
     return w
 
 
@@ -263,16 +268,20 @@ def _require_same_alphabet(u: Word, v: Word) -> None:
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
 
 
-def _letter_masks(text: str, alphabet: Alphabet) -> dict[str, int]:
-    """One bitmask per letter: bit i is set iff text[i] is that letter.  The
-    last letter's mask is the complement of the others, which are parsed."""
-    # per letter but the last, it -> "1" and the rest -> "0"; racing threads build equal tables
-    if (tables := alphabet._mask_tables) is None:
+def _letter_masks(w: Word) -> dict[str, int]:
+    """One bitmask per letter, built on w's first call and kept on w: bit i is set iff
+    w.text[i] is that letter.  The last letter's mask is the complement of the others,
+    which are parsed.  Racing threads build equal masks and tables, so either may stay."""
+    if (masks := w._masks) is not None:
+        return masks
+    text, alphabet = w.text, w.alphabet
+    if (tables := alphabet._mask_tables) is None:  # per letter but the last: it -> "1", the rest -> "0"
         syms = alphabet.symbols
         tables = alphabet._mask_tables = {c: {ord(s): "01"[s == c] for s in syms} for c in syms[:-1]}
     rev = text[::-1]  # int(..., 2) reads the first character as the top bit
     masks = {c: int(rev.translate(table) or "0", 2) for c, table in tables.items()}
     masks[alphabet.symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
+    w._masks = masks
     return masks
 
 

@@ -1,6 +1,8 @@
 """Occurrence counting, density curves, and the integral model."""
 
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
@@ -24,9 +26,10 @@ from fibword.density import (
     ratio_curve,
     triangle_ratio,
 )
-from fibword.fibonacci import PHI, fib, infinite_prefix
+from fibword.fibonacci import FIBONACCI_MORPHISM, PHI, fib, infinite_prefix
 from fibword.palindromes import pal_density_table
-from fibword.words import AB, ABC, BINARY, Alphabet, Word
+from fibword.squarefree import has_overlap, is_square_free
+from fibword.words import AB, ABC, BINARY, Alphabet, Word, _letter_masks
 
 GRID = [
     (k, tau, a, b)
@@ -100,6 +103,49 @@ def test_count_occurrences_matches_oracle_across_the_64_symbol_boundary():
             assert count_occurrences(pattern, text) == oracle.brute_count(pattern, text)
 
 
+def _all_counts_match_oracle(text: Word, lengths=range(1, 5)) -> None:
+    for m in lengths:
+        for letters in product(text.alphabet.symbols, repeat=m):
+            pattern = Word(text.alphabet, "".join(letters))
+            assert count_occurrences(pattern, text) == oracle.brute_count(pattern, text)
+
+
+def test_letter_masks_stay_on_their_own_word():
+    # A counted word keeps its masks; every word made from it builds its own.
+    rng = random.Random(27)
+    for w in (infinite_prefix(150), BINARY.word("".join(rng.choices("01", k=90)))):
+        _all_counts_match_oracle(w)
+        masks = _letter_masks(w)
+        assert _letter_masks(w) is masks
+        v = BINARY.word("".join(rng.choices("01", k=40)))
+        for derived in (w[7:100], w[1:], w + v, v + w, w.reverse(), FIBONACCI_MORPHISM.apply(w)):
+            _all_counts_match_oracle(derived)
+        assert _letter_masks(w) is masks
+        assert is_square_free(w) == (not oracle.brute_square_scan(w))
+        assert has_overlap(w) == oracle.brute_overlap_scan(w)
+    for text in ("abcacbabcbac", "abcbacbcabcba", "aabcacb"):  # square-free or not, over three letters
+        w = ABC.word(text)
+        _all_counts_match_oracle(w, range(1, 3))
+        assert is_square_free(w) == (not oracle.brute_square_scan(w))
+        assert has_overlap(w) == oracle.brute_overlap_scan(w)
+        assert is_square_free(w[1:]) == (not oracle.brute_square_scan(w[1:]))
+
+
+def test_pickles_and_copies_of_a_counted_word_carry_no_masks():
+    # the twins' alphabets are equal, but only the counted word's has built its mask tables
+    for counted, twin, pattern in (
+        (infinite_prefix(10**4), infinite_prefix(10**4), BINARY.word("010")),
+        (Word(Alphabet("xyz"), "xyzzy" * 2000), Word(Alphabet("xyz"), "xyzzy" * 2000), Word(Alphabet("xyz"), "zy")),
+    ):
+        expected = count_occurrences(pattern, counted)
+        assert counted._masks is not None and twin._masks is None
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert len(pickle.dumps(counted, protocol)) == len(pickle.dumps(twin, protocol))
+        for clone in (pickle.loads(pickle.dumps(counted)), copy.copy(counted), copy.deepcopy(counted)):
+            assert clone == counted and clone._masks is None
+            assert count_occurrences(pattern, clone) == expected == oracle.brute_count(pattern, clone)
+
+
 def _find_loop_count(p: str, t: str) -> int:
     count, start = 0, 0
     while (idx := t.find(p, start)) >= 0:
@@ -149,12 +195,18 @@ def test_ratio_curve_values():
 
 
 def test_ratio_curve_is_consecutive_fibonacci_in_lowest_terms():
-    curve = ratio_curve(2000)
+    curve = ratio_curve(10**4)  # the guard
     f, g = 1, 1  # F_1, F_2
     for n, sample in enumerate(curve, start=1):
         assert (sample.n, sample.value.numerator, sample.value.denominator) == (n, f, g)
+        assert type(sample.value) is Fraction
         assert sample.count is None
         f, g = g, f + g
+    # the samples are Fractions set from their pairs; they must act as the normalised ones do
+    last, built = curve[-1].value, Fraction(fib(10**4), fib(10**4 + 1))
+    for value in (last, pickle.loads(pickle.dumps(last)), copy.deepcopy(last)):
+        assert value == built and hash(value) == hash(built)
+        assert str(value) == str(built) and float(value) == float(built)
 
 
 def test_ratio_curve_alternates_around_the_limit():
