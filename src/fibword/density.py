@@ -110,8 +110,8 @@ def letter_density_curve(letter: str, n_max: int) -> list[DensitySample]:
         raise ValueError("n_max must be positive")
     if n_max > 10**6:
         raise ValueError("n_max must be at most 10**6 (about 130 bytes per sample)")
-    counts = accumulate(map(letter.__eq__, infinite_prefix(n_max).text), initial=0)
-    next(counts)  # the initial 0, which makes every count an int
+    marks = dict.fromkeys(b"01", 0) | {ord(letter): 1}  # the letter becomes byte 1, the other 0
+    counts = accumulate(infinite_prefix(n_max).text.translate(marks).encode())
     return list(map(DensitySample, range(1, n_max + 1), repeat(None), counts))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from . import words
 from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _Record, _unchecked_word
 
 #: Largest index where the double-precision Binet form still identifies
@@ -21,6 +22,9 @@ BINET_MAX_N = 70
 #: The substitution whose fixed point (from seed 0) is the standard
 #: infinite word.
 FIBONACCI_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "0"})
+
+#: infinite_prefix keeps its longest prefix up to this length: 1 MB, 256 KB more once counted.
+PREFIX_CACHE_SYMBOLS = 2**20
 
 
 #: The golden ratio at double precision; _PSI is its conjugate 1 - phi.
@@ -137,9 +141,13 @@ def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
 
 
 def infinite_prefix(length: int) -> Word:
-    """First `length` symbols of the fixed point of 0 -> 01, 1 -> 0
-    starting from 0."""
-    return _unchecked_word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
+    """First `length` symbols of the fixed point of 0 -> 01, 1 -> 0 starting from 0,
+    sliced from the longest prefix built so far of at most PREFIX_CACHE_SYMBOLS symbols."""
+    if not 0 <= length <= len(kept := words._mask_source):
+        kept = _unchecked_word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
+        if length <= PREFIX_CACHE_SYMBOLS:
+            words._mask_source = kept  # replaced only by a longer one; racing threads may keep either
+    return _unchecked_word(BINARY, kept.text[:length])
 
 
 def _floor_mult_phi(n: int) -> int:

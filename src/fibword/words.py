@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 
 #: Morphism.fixed_point_prefix (and fib_word) refuse more symbols than this.  Peak RSS past
-#: the import is 3.3-3.5 bytes per symbol for infinite_prefix and 3.0 for thue_morse_prefix
-#: at 2**24 and 2**26 symbols (2-CPU VM, Python 3.11), so ~1.6-1.9 GB at the guard.
+#: the import is 2.9-3.1 bytes per symbol for infinite_prefix and 2.0 for thue_morse_prefix
+#: at 2**24 and 2**26 symbols (2-CPU VM, Python 3.11), so ~1.1-1.7 GB at the guard.
 SIZE_GUARD = 2**29
 _SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
 
@@ -76,7 +76,7 @@ class Alphabet:
     enumeration in the library, so results are deterministic.
     """
 
-    __slots__ = ("symbols", "_ranks", "_rank_table", "_code_point_order", "_delete", "_mask_tables")
+    __slots__ = ("symbols", "_ranks", "_rank_table", "_code_point_order", "_delete")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -92,7 +92,6 @@ class Alphabet:
         self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
         self._code_point_order = list(syms) == sorted(syms)  # then plain string order is this order
         self._delete = dict.fromkeys(map(ord, syms))
-        self._mask_tables = None  # built by _letter_masks on first use: len·(len - 1) entries
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -112,7 +111,7 @@ class Alphabet:
         return hash(self.symbols)
 
     def __reduce__(self) -> tuple:
-        return Alphabet, (self.symbols,)  # the tables are rebuilt, the mask tables on first use
+        return Alphabet, (self.symbols,)  # slots alone do not pickle at protocols 0 and 1
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.symbols)!r})"
@@ -234,14 +233,16 @@ class Morphism:
             raise ValueError("prefix length must be nonnegative")
         if length > SIZE_GUARD:
             raise ValueError(f"prefix would {_SIZE_REFUSAL}")
-        images = {c: c for c in self.domain.symbols}
+        images, seed_image = {c: c for c in self.domain.symbols}, self.images[seed].text
         idle = 0  # steps without growth; len(domain) in a row mean it never grows again
         while len(images[seed]) < length:
-            grown = self._step(images)
-            idle = idle + 1 if len(grown[seed]) == len(images[seed]) else 0
+            if (grown := sum(len(images[d]) for d in seed_image)) >= length:  # last step: seed's image only
+                text, images = "".join([images[d] for d in seed_image]), None  # the rest go before the slice
+                return text[:length]
+            idle = idle + 1 if grown == len(images[seed]) else 0
             if idle == len(self.domain):
                 raise ValueError(f"the iterates from {seed!r} stop growing")
-            images = grown
+            images = self._step(images)
         return images[seed][:length]
 
     def apply(self, w: Word) -> Word:
@@ -263,24 +264,30 @@ def _unchecked_word(alphabet: Alphabet, text: str) -> Word:
     return w
 
 
+#: Prefixes of this word cut their letter masks from its masks; fibonacci.infinite_prefix sets it.
+_mask_source = _unchecked_word(BINARY, "")
+
+
 def _require_same_alphabet(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
 
 
 def _letter_masks(w: Word) -> dict[str, int]:
-    """One bitmask per letter, built on w's first call and kept on w: bit i is set iff
-    w.text[i] is that letter.  The last letter's mask is the complement of the others,
-    which are parsed.  Racing threads build equal masks and tables, so either may stay."""
+    """One bitmask per letter, built on w's first call and kept on w: bit i is set iff w.text[i]
+    is that letter.  Cut from _mask_source's masks if w is a prefix of it, else parsed but for the
+    last letter's, the complement of the others.  Racing threads build equal masks; either may stay."""
     if (masks := w._masks) is not None:
         return masks
-    text, alphabet = w.text, w.alphabet
-    if (tables := alphabet._mask_tables) is None:  # per letter but the last: it -> "1", the rest -> "0"
-        syms = alphabet.symbols
-        tables = alphabet._mask_tables = {c: {ord(s): "01"[s == c] for s in syms} for c in syms[:-1]}
-    rev = text[::-1]  # int(..., 2) reads the first character as the top bit
-    masks = {c: int(rev.translate(table) or "0", 2) for c, table in tables.items()}
-    masks[alphabet.symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
+    text, alphabet, source, whole = w.text, w.alphabet, _mask_source, (1 << len(w)) - 1
+    if source is not w and alphabet == source.alphabet and source.text.startswith(text):
+        masks = {c: m & whole for c, m in _letter_masks(source).items()}
+    else:
+        rev, masks, table = text[::-1], {}, dict.fromkeys(map(ord, alphabet.symbols), "0")
+        for c in alphabet.symbols[:-1]:  # that letter alone "1"; int(rev, 2) has bit i for text[i]
+            table[ord(c)] = "1"
+            masks[c], table[ord(c)] = int(rev.translate(table) or "0", 2), "0"
+        masks[alphabet.symbols[-1]] = whole ^ sum(masks.values())  # disjoint masks
     w._masks = masks
     return masks
 

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibword import oracle
+from fibword import oracle, words
 from fibword.cli import main
 from fibword.density import (
     DensitySample,
@@ -26,7 +27,7 @@ from fibword.density import (
     ratio_curve,
     triangle_ratio,
 )
-from fibword.fibonacci import FIBONACCI_MORPHISM, PHI, fib, infinite_prefix
+from fibword.fibonacci import FIBONACCI_MORPHISM, PHI, PREFIX_CACHE_SYMBOLS, fib, infinite_prefix
 from fibword.palindromes import pal_density_table
 from fibword.squarefree import has_overlap, is_square_free
 from fibword.words import AB, ABC, BINARY, Alphabet, Word, _letter_masks
@@ -144,6 +145,64 @@ def test_pickles_and_copies_of_a_counted_word_carry_no_masks():
         for clone in (pickle.loads(pickle.dumps(counted)), copy.copy(counted), copy.deepcopy(counted)):
             assert clone == counted and clone._masks is None
             assert count_occurrences(pattern, clone) == expected == oracle.brute_count(pattern, clone)
+
+
+# s_0 = 0, s_1 = 01, s_k = s_(k-1) s_(k-2), built without the library
+_RECURRENCE = "0"
+_NEXT = "01"
+while len(_RECURRENCE) < 3 * 10**4:
+    _RECURRENCE, _NEXT = _NEXT, _NEXT + _RECURRENCE
+
+
+def test_masks_cut_from_the_kept_prefix_equal_parsed_masks(monkeypatch):
+    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    cap = PREFIX_CACHE_SYMBOLS
+    infinite_prefix(cap)
+    assert words._mask_source._masks is None  # built on the first count, once
+    for n in (0, 1, 2, 63, 64, 65, 1000, 10**5, cap - 1, cap):
+        w = infinite_prefix(n)
+        ones = int(w.text[::-1] or "0", 2)  # bit i set iff symbol i is 1
+        for twin in (w, BINARY.word(w.text)):  # sliced by infinite_prefix or built from its text
+            assert _letter_masks(twin) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
+    source = words._mask_source._masks
+    assert source is not None and _letter_masks(words._mask_source) is source
+    # not prefixes of the kept word: another alphabet, another text, a longer text
+    text = infinite_prefix(5000).text
+    for other in (Word(Alphabet("10"), text), BINARY.word("1" + text[1:]), infinite_prefix(cap + 1)):
+        ones = int(other.text[::-1], 2)
+        assert _letter_masks(other) == {"1": ones, "0": ((1 << len(other)) - 1) ^ ones}
+    assert words._mask_source._masks is source
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_counts_in_kept_prefix_slices_match_the_oracle(monkeypatch, warm):
+    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    if warm:
+        _letter_masks(infinite_prefix(PREFIX_CACHE_SYMBOLS))
+    rng = random.Random(28)
+    patterns = [BINARY.word(t) for t in ("11", "000")]
+    for k in range(1, 9):
+        patterns += sorted(oracle.brute_factor_set(BINARY.word(_RECURRENCE[:1000]), k), key=str)
+    for n in (1, 2, 3, 5, 64, 65, 377, 2 * 10**4, *rng.sample(range(4, 2 * 10**4), 4)):
+        prefix = infinite_prefix(n)
+        assert prefix.text == _RECURRENCE[:n]
+        for pattern in patterns:
+            assert count_occurrences(pattern, prefix) == oracle.brute_count(pattern, prefix)
+
+
+def test_many_letter_masks_use_one_table_and_keep_none():
+    alphabet = Alphabet(chr(0x4E00 + i) for i in range(1000))
+    slots = {name: getattr(alphabet, name) for name in Alphabet.__slots__}
+    rng = random.Random(1000)
+    w = Word(alphabet, "".join(rng.choices(alphabet.symbols, k=2000)))
+    start = time.perf_counter()
+    counts = {c: count_occurrences(Word(alphabet, c), w) for c in alphabet.symbols[::97]}
+    assert time.perf_counter() - start < 1.0
+    assert counts == {c: w.text.count(c) for c in counts}
+    pair = Word(alphabet, w.text[10:12])
+    assert count_occurrences(pair, w) == oracle.brute_count(pair, w)
+    assert {name: getattr(alphabet, name) for name in Alphabet.__slots__} == slots  # nothing built on it
+    assert not hasattr(alphabet, "_mask_tables")
 
 
 def _find_loop_count(p: str, t: str) -> int:

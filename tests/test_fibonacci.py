@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from fibword import words
 from fibword.fibonacci import (
     FIBONACCI_MORPHISM,
     _PSI,
     _SQRT5,
     PHI,
+    PREFIX_CACHE_SYMBOLS,
     REFERENCE_SEEDS,
     SIZE_GUARD,
     FibSeeds,
@@ -185,6 +187,57 @@ def test_infinite_prefix_is_monotone():
     long = infinite_prefix(4000).text
     for m in (0, 1, 2, 3, 5, 144, 1000, 3999):
         assert infinite_prefix(m).text == long[:m]
+
+
+def _recurrence_text(length: int) -> str:
+    # s_0 = 0, s_1 = 01, s_k = s_(k-1) s_(k-2): each s_k is a prefix of the next
+    older, s = "0", "01"
+    while len(s) < length:
+        older, s = s, s + older
+    return s[:length]
+
+
+def _empty_cache(monkeypatch) -> None:
+    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+
+
+def test_infinite_prefix_around_the_cache_cap_matches_the_recurrence(monkeypatch):
+    _empty_cache(monkeypatch)
+    cap = PREFIX_CACHE_SYMBOLS
+    assert cap == 2**20
+    reference = _recurrence_text(cap + 1)
+    lengths, kept = [0, 1, cap - 1, cap, cap + 1], 0
+    for length in lengths + lengths[::-1]:  # growing, then shrinking
+        w = infinite_prefix(length)
+        assert w.text == reference[:length] and w.alphabet == BINARY and w._masks is None
+        kept = max(kept, length) if length <= cap else kept  # only grows, never past the cap
+        assert len(words._mask_source) == kept
+    assert words._mask_source.text == reference[:cap]
+    assert infinite_prefix(cap) is not infinite_prefix(cap)  # every call returns its own Word
+
+
+def _outcome(length):
+    try:
+        return infinite_prefix(length).text
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+def test_infinite_prefix_refusals_and_odd_lengths_leave_a_warm_cache_alone(monkeypatch):
+    odd = (-1, SIZE_GUARD + 1, 2.5, True)
+    _empty_cache(monkeypatch)
+    cold = [_outcome(length) for length in odd]  # only True, the last, keeps a prefix
+    assert cold[0] == (ValueError, "prefix length must be nonnegative")
+    assert cold[1][0] is ValueError and "symbol guard" in cold[1][1]
+    assert cold[2][0] is TypeError and cold[3] == "0"
+    _empty_cache(monkeypatch)
+    infinite_prefix(1000)
+    kept = words._mask_source
+    assert [_outcome(length) for length in odd] == cold
+    for length in (PREFIX_CACHE_SYMBOLS + 1, 999, 5, 0):
+        assert infinite_prefix(length).text == _recurrence_text(length)
+    assert words._mask_source is kept  # neither a prefix past the cap nor a shorter one replaced it
+    assert kept.text == _recurrence_text(1000)
 
 
 def test_infinite_prefix_avoids_11_and_000():
