@@ -14,9 +14,10 @@ regularized incomplete gamma by series and continued fraction on the other.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import add
 
 from .fibonacci import PHI, fib, infinite_prefix
@@ -30,21 +31,31 @@ class DensitySample:
     otherwise).  Slotted and, like Word, never mutated; compares and hashes
     by (n, value)."""
 
-    __slots__ = ("n", "count", "_value")
+    __slots__ = ("n", "_held")  # an int count or a Fraction value as given, any other input as (count, value)
 
     def __init__(self, n: int, value: Fraction | None = None, count: int | None = None):
         if (value is None) == (count is None):
             raise TypeError("DensitySample takes exactly one of value and count")
-        self.n, self.count, self._value = n, count, value
+        self.n, self._held = n, count if type(count) is int else value if type(value) is Fraction else (count, value)
+
+    def _given(self) -> tuple:
+        held = self._held  # (count, value) as given, the other one None
+        return (held, None) if type(held) is int else held if type(held) is tuple else (None, held)
+
+    def __reduce__(self) -> tuple:
+        return DensitySample, (self.n, *self._given()[::-1])  # pickles hold no slot layout
+
+    count = property(lambda self: self._given()[0])
 
     @property
     def value(self) -> Fraction:
-        return self._value if self.count is None else Fraction(self.count, self.n)
+        count, value = self._given()
+        return value if count is None else Fraction(count, self.n)
 
     @property
     def value_real(self) -> float:
-        # count / n rounds correctly, exactly as float(Fraction(count, n)) does.
-        return float(self._value) if self.count is None else self.count / self.n
+        count, value = self._given()  # count / n rounds correctly, as float(Fraction(count, n)) does
+        return float(value) if count is None else count / self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensitySample):
@@ -94,9 +105,10 @@ def ratio_curve(n_max: int) -> list[DensitySample]:
         raise ValueError("n_max must be between 1 and 10**4")
     out, f, g = [], 1, 1
     for n in range(1, n_max + 1):
-        r = object.__new__(Fraction)  # as Fraction._from_coprime_ints (Python 3.12) builds it
-        r._numerator, r._denominator = f, g
-        out.append(DensitySample(n, r))
+        r, s = object.__new__(Fraction), object.__new__(DensitySample)  # no __init__ runs for either
+        r._numerator, r._denominator = f, g  # as Fraction._from_coprime_ints (Python 3.12) builds it
+        s.n, s._held = n, r  # the value form
+        out.append(s)
         f, g = g, f + g
     return out
 
@@ -109,10 +121,14 @@ def letter_density_curve(letter: str, n_max: int) -> list[DensitySample]:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if n_max > 10**6:
-        raise ValueError("n_max must be at most 10**6 (about 130 bytes per sample)")
+        raise ValueError("n_max must be at most 10**6 (about 88 bytes per sample)")
     marks = dict.fromkeys(b"01", 0) | {ord(letter): 1}  # the letter becomes byte 1, the other 0
-    counts = accumulate(infinite_prefix(n_max).text.translate(marks).encode())
-    return list(map(DensitySample, range(1, n_max + 1), repeat(None), counts))
+    ints = list(range(n_max + 1))  # a count is at most its n, so it is the int object of an earlier n
+    counts = map(ints.__getitem__, accumulate(infinite_prefix(n_max).text.translate(marks).encode()))
+    samples = list(map(object.__new__, repeat(DensitySample, n_max)))  # the count form, each slot set in C
+    deque(map(DensitySample.n.__set__, samples, islice(ints, 1, None)), 0)
+    deque(map(DensitySample._held.__set__, samples, counts), 0)
+    return samples
 
 
 class IntegralParams(_Record):

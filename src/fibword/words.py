@@ -266,6 +266,7 @@ def _unchecked_word(alphabet: Alphabet, text: str) -> Word:
 
 #: Prefixes of this word cut their letter masks from its masks; fibonacci.infinite_prefix sets it.
 _mask_source = _unchecked_word(BINARY, "")
+_source_parsed: tuple = (None, 0, {})  # (_mask_source, how many of its first symbols are parsed, their masks)
 
 
 def _require_same_alphabet(u: Word, v: Word) -> None:
@@ -274,20 +275,27 @@ def _require_same_alphabet(u: Word, v: Word) -> None:
 
 
 def _letter_masks(w: Word) -> dict[str, int]:
-    """One bitmask per letter, built on w's first call and kept on w: bit i is set iff w.text[i]
-    is that letter.  Cut from _mask_source's masks if w is a prefix of it, else parsed but for the
-    last letter's, the complement of the others.  Racing threads build equal masks; either may stay."""
+    """One bitmask per letter, built on w's first call and kept on w: bit i is set iff w.text[i] is that
+    letter.  Parsed but for the last letter's, the complement of the others, or cut from _mask_source's,
+    parsed on to len(w) or twice as far and kept on it once whole.  Racing threads may keep either build."""
+    global _source_parsed
     if (masks := w._masks) is not None:
         return masks
-    text, alphabet, source, whole = w.text, w.alphabet, _mask_source, (1 << len(w)) - 1
-    if source is not w and alphabet == source.alphabet and source.text.startswith(text):
-        masks = {c: m & whole for c, m in _letter_masks(source).items()}
-    else:
-        rev, masks, table = text[::-1], {}, dict.fromkeys(map(ord, alphabet.symbols), "0")
-        for c in alphabet.symbols[:-1]:  # that letter alone "1"; int(rev, 2) has bit i for text[i]
-            table[ord(c)] = "1"
-            masks[c], table[ord(c)] = int(rev.translate(table) or "0", 2), "0"
-        masks[alphabet.symbols[-1]] = whole ^ sum(masks.values())  # disjoint masks
+    text, symbols, source, start, whole = w.text, w.alphabet.symbols, _mask_source, 0, (1 << len(w)) - 1
+    if cut := w.alphabet == source.alphabet and source.text.startswith(text):
+        _, start, kept = _source_parsed if _source_parsed[0] is source else (source, 0, dict.fromkeys(symbols, 0))
+        text = source.text[start : max(len(w), min(2 * start, len(source)))] if start < len(w) else ""
+    rev, masks, table = text[::-1], {}, dict.fromkeys(map(ord, symbols), "0")
+    for c in symbols[:-1]:  # that letter alone "1"; int(rev, 2) has bit i for text[i]
+        table[ord(c)] = "1"
+        masks[c], table[ord(c)] = int(rev.translate(table) or "0", 2), "0"
+    masks[symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
+    if cut:
+        if text:  # the new symbols' masks go in shifted past the parsed ones
+            kept = {c: m | masks[c] << start for c, m in kept.items()}
+            _source_parsed = source, start + len(text), kept
+            source._masks = kept if start + len(text) == len(source) else None
+        masks = {c: m & whole for c, m in kept.items()}
     w._masks = masks
     return masks
 

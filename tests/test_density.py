@@ -133,7 +133,7 @@ def test_letter_masks_stay_on_their_own_word():
 
 
 def test_pickles_and_copies_of_a_counted_word_carry_no_masks():
-    # the twins' alphabets are equal, but only the counted word's has built its mask tables
+    # the twins are equal, but only the counted word has built its letter masks
     for counted, twin, pattern in (
         (infinite_prefix(10**4), infinite_prefix(10**4), BINARY.word("010")),
         (Word(Alphabet("xyz"), "xyzzy" * 2000), Word(Alphabet("xyz"), "xyzzy" * 2000), Word(Alphabet("xyz"), "zy")),
@@ -188,6 +188,68 @@ def test_counts_in_kept_prefix_slices_match_the_oracle(monkeypatch, warm):
         assert prefix.text == _RECURRENCE[:n]
         for pattern in patterns:
             assert count_occurrences(pattern, prefix) == oracle.brute_count(pattern, prefix)
+
+
+def test_kept_prefix_masks_grow_with_the_counted_slices(monkeypatch):
+    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    size = 10**5
+    infinite_prefix(size)
+    source = words._mask_source
+    # growing, shrinking and interleaved slices; each parse reaches n or twice the parsed length
+    steps = [(5, 5), (64, 64), (65, 128), (1000, 1000), (300, 1000), (3000, 3000), (2999, 3000),
+             (40000, 40000), (7, 40000), (size - 1, size - 1), (12345, size - 1), (size, size)]
+    for n, parsed in steps:
+        w = infinite_prefix(n)
+        ones = int(w.text[::-1] or "0", 2)
+        for twin in (w, BINARY.word(w.text)):
+            assert _letter_masks(twin) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
+        assert words._source_parsed[:2] == (source, parsed)
+        assert (source._masks is None) == (parsed < size)  # the kept prefix holds only whole masks
+    assert source._masks is words._source_parsed[2] and _letter_masks(source) is source._masks
+    infinite_prefix(3 * size)  # a longer kept prefix starts its own parse
+    grown = words._mask_source
+    assert grown is not source and grown.text.startswith(source.text)
+    for n in (size + 1, 17, 2 * size + 3):
+        w = infinite_prefix(n)
+        ones = int(w.text[::-1], 2)
+        assert _letter_masks(w) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
+    assert words._source_parsed[:2] == (grown, 2 * size + 3)
+
+
+@pytest.mark.parametrize("parsed", ["cold", "partial", "full"])
+def test_counts_match_the_oracle_whatever_the_kept_masks_hold(monkeypatch, parsed):
+    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    size = 5000
+    infinite_prefix(size)
+    source = words._mask_source
+    if parsed != "cold":
+        _letter_masks(infinite_prefix(reach := 700 if parsed == "partial" else size))
+        assert words._source_parsed[:2] == (source, reach)
+    patterns = [BINARY.word(t) for t in ("11", "000")]
+    for k in range(1, 7):
+        patterns += sorted(oracle.brute_factor_set(BINARY.word(_RECURRENCE[:1000]), k), key=str)
+    for n in (1, 2, 3, 64, 65, 699, 700, 701, 1500, 3000, size):
+        prefix = infinite_prefix(n)
+        for pattern in patterns:
+            assert count_occurrences(pattern, prefix) == oracle.brute_count(pattern, prefix)
+    assert source._masks is not None  # the last count reached the whole kept prefix
+
+
+def test_a_first_count_parses_only_what_it_needs(monkeypatch):
+    # right after the kept prefix grows to ~10**6 symbols, a count in a short slice does not
+    # parse all of them (that took ~5 ms)
+    pattern, times = BINARY.word("010"), []
+    for _ in range(3):
+        monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+        count_occurrences(pattern, infinite_prefix(10**5))
+        infinite_prefix(983_656)
+        w = infinite_prefix(2 * 10**4)
+        start = time.perf_counter()
+        count = count_occurrences(pattern, w)
+        times.append(time.perf_counter() - start)
+        assert count == oracle.brute_count(pattern, w)
+    assert min(times) < 1e-3
+    assert words._source_parsed[1] == 2 * 10**4
 
 
 def test_many_letter_masks_use_one_table_and_keep_none():
@@ -318,6 +380,109 @@ def test_counted_and_fraction_samples_are_one_value():
         DensitySample(6, Fraction(2, 3), count=4)
     with pytest.raises(TypeError):
         DensitySample(6)
+
+
+class _ThreeSlotSample:
+    """DensitySample as it was with the slots n, count and _value: the reference the two-slot
+    class must read every input as."""
+
+    __slots__ = ("n", "count", "_value")
+
+    def __init__(self, n, value=None, count=None):
+        if (value is None) == (count is None):
+            raise TypeError("DensitySample takes exactly one of value and count")
+        self.n, self.count, self._value = n, count, value
+
+    @property
+    def value(self):
+        return self._value if self.count is None else Fraction(self.count, self.n)
+
+    @property
+    def value_real(self):
+        return float(self._value) if self.count is None else self.count / self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, _ThreeSlotSample):
+            return NotImplemented
+        return self.n == other.n and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.n, self.value))
+
+    def __repr__(self):
+        return f"DensitySample(n={self.n!r}, value={self.value!r})"
+
+
+def _read(sample) -> tuple:
+    """Every reading of a sample, with the type of each result, or the exception it raises."""
+    readings = []
+    for read in (lambda: sample.n, lambda: sample.count, lambda: sample.value, lambda: sample.value_real,
+                 lambda: hash(sample), lambda: repr(sample)):
+        try:
+            result = read()
+            readings.append((type(result), result))
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            readings.append((type(err),))
+    return tuple(readings)
+
+
+_COUNTS = st.integers(-(10**20), 10**20) | st.fractions()
+_VALUES = st.fractions() | st.integers(-(10**20), 10**20) | st.floats(allow_nan=False)
+_SAMPLE_ARGS = st.tuples(st.integers(0, 10**6), st.sampled_from(["value", "count"]), _COUNTS | _VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLE_ARGS, _SAMPLE_ARGS)
+@example((6, "count", 4), (6, "value", Fraction(2, 3)))  # one value in both forms
+@example((6, "value", 1), (6, "count", Fraction(4)))  # an int value, a Fraction count
+@example((2, "value", 0.5), (2, "count", 1))
+@example((3, "value", True), (3, "count", True))
+@example((3, "value", (1, 2)), (3, "count", (1,)))  # tuples, as values and as counts
+@example((0, "count", 1), (0, "value", 1.5))
+def test_two_slot_samples_read_every_input_as_three_slots_did(first, second):
+    built = []
+    for n, form, given in (first, second):
+        new, old = DensitySample(n, **{form: given}), _ThreeSlotSample(n, **{form: given})
+        assert _read(new) == _read(old)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(new, protocol)
+            assert b"_held" not in data  # the constructor's arguments, not the slots
+            assert type(clone := pickle.loads(data)) is DensitySample and _read(clone) == _read(old)
+        for clone in (copy.copy(new), copy.deepcopy(new)):
+            assert type(clone) is DensitySample and _read(clone) == _read(old)
+        built.append((new, old))
+    (a, ref_a), (b, ref_b) = built
+    for x, y, ref_x, ref_y in ((a, b, ref_a, ref_b), (a, a, ref_a, ref_a)):
+        try:
+            expected = (ref_x == ref_y, ref_x != ref_y)
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            with pytest.raises(type(err)):
+                x == y
+        else:
+            assert (x == y, x != y) == expected
+    assert (a == 1) is False and a != "a"
+
+
+def test_curve_samples_read_as_the_constructor_builds_them():
+    # both curves set their samples' slots without __init__
+    for sample in letter_density_curve("1", 300) + ratio_curve(300):
+        given = {"value": sample.value} if sample.count is None else {"count": sample.count}
+        built = DensitySample(sample.n, **given)
+        assert _read(sample) == _read(built) and sample == built
+        assert _read(pickle.loads(pickle.dumps(sample))) == _read(built)
+
+
+def test_letter_curve_samples_take_under_96_bytes():
+    # n, the count (the int object of an earlier n), two slots and the list's pointer: ~88 bytes
+    # on Python 3.11, against ~128 with three slots and a count int of its own
+    infinite_prefix(10**5)  # kept, so the prefix built inside is not counted
+    tracemalloc.start()
+    try:
+        curve = letter_density_curve("0", 10**5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(curve) < 96
 
 
 def test_reading_counted_values_keeps_nothing():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibword import oracle
+from fibword import oracle, palindromes
 from fibword.cli import main
 from fibword.fibonacci import fib, infinite_prefix
 from fibword.palindromes import (
@@ -275,6 +275,23 @@ def test_pal_factors_refuses_words_past_the_character_guard():
     # The tree stops at the first symbol whose factors pass the limit: 14142 * 14143 / 2.
     with pytest.raises(ValueError, match=r"limited to 100000000 .* first 14142 symbols total 100005153$"):
         pal_factors(AB.word("a" * 15000))
+
+
+@pytest.mark.parametrize("text", [infinite_prefix(300).text, "ab" * 60, "a" * 90], ids=["fibonacci", "periodic", "unary"])
+def test_pal_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypatch, text):
+    # the running total at the end of text is the length of its distinct palindromic factors
+    alphabet = Alphabet(sorted(set(text)))
+    limit = sum(map(len, oracle.brute_pal_factor_set(alphabet.word(text))))
+    monkeypatch.setattr(palindromes, "PAL_FACTORS_GUARD", limit)
+    assert set(pal_factors(alphabet.word(text)).pal_factors) == oracle.brute_pal_factor_set(alphabet.word(text))
+    longer = alphabet.word(text + text[-2])  # a palindrome ends at the new symbol: the total grows
+    need = sum(map(len, oracle.brute_pal_factor_set(longer)))
+    assert need > limit
+    message = (f"pal_factors is limited to {limit} characters of factors in all; "
+               f"the palindromic factors of this word's first {len(longer)} symbols total {need}")
+    with pytest.raises(ValueError) as refused:
+        pal_factors(longer)
+    assert str(refused.value) == message
 
 
 def test_rich_words_have_one_palindrome_per_symbol():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibword import oracle
+from fibword import oracle, words
 from fibword.fibonacci import FIBONACCI_MORPHISM, infinite_prefix
 from fibword.squarefree import DELTA_MORPHISM, THUE_MORSE_MORPHISM, thue_morse_prefix
 from fibword.words import (
@@ -261,6 +261,28 @@ def test_distinct_factors_refuses_words_past_the_character_guard():
     # at the block that ends at symbol 24,927, whatever the hash seed
     with pytest.raises(ValueError, match=r"limited to 100000000 .* first 24927 symbols need 100104851$"):
         distinct_factors(infinite_prefix(4 * 10**4), 2 * 10**4)
+
+
+def _held_by_distinct_factors(text: str, k: int) -> int:
+    # the guard's running total at the end of text: distinct 64-window blocks plus distinct factors
+    blocks = {text[s : s + k + 63] for s in range(0, len(text) - k + 1, 64)}
+    return sum(map(len, blocks)) + k * len({text[i : i + k] for i in range(len(text) - k + 1)})
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_distinct_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypatch, k):
+    text = "".join(random.Random(k).choices("01", k=150))
+    limit = _held_by_distinct_factors(text, k)
+    monkeypatch.setattr(words, "DISTINCT_FACTORS_GUARD", limit)
+    assert distinct_factors(BINARY.word(text), k) == sorted(oracle.brute_factor_set(BINARY.word(text), k))
+    longer = text + "1"
+    need = _held_by_distinct_factors(longer, k)
+    assert need > limit
+    message = (f"distinct_factors is limited to {limit} characters of blocks and factors in all; "
+               f"this word's first {len(longer)} symbols need {need}")
+    with pytest.raises(ValueError) as refused:
+        distinct_factors(BINARY.word(longer), k)
+    assert str(refused.value) == message
 
 
 def test_distinct_factors_admits_a_long_factor_of_a_unary_word():
