@@ -38,23 +38,24 @@ class DensitySample:
             raise TypeError("DensitySample takes exactly one of value and count")
         self.n, self._held = n, count if type(count) is int else value if type(value) is Fraction else (count, value)
 
-    def _given(self) -> tuple:
-        held = self._held  # (count, value) as given, the other one None
-        return (held, None) if type(held) is int else held if type(held) is tuple else (None, held)
-
     def __reduce__(self) -> tuple:
-        return DensitySample, (self.n, *self._given()[::-1])  # pickles hold no slot layout
+        count = self.count  # pickles hold the constructor's arguments, not the slots
+        return DensitySample, (self.n, self.value if count is None else None, count)
 
-    count = property(lambda self: self._given()[0])
+    count = property(lambda self: held if type(held := self._held) is int else held[0] if type(held) is tuple else None)
 
     @property
     def value(self) -> Fraction:
-        count, value = self._given()
+        if type(held := self._held) is not tuple:  # an int count or a Fraction value
+            return Fraction(held, self.n) if type(held) is int else held
+        count, value = held
         return value if count is None else Fraction(count, self.n)
 
     @property
     def value_real(self) -> float:
-        count, value = self._given()  # count / n rounds correctly, as float(Fraction(count, n)) does
+        if type(held := self._held) is not tuple:  # count / n rounds correctly, as float(Fraction(count, n)) does
+            return held / self.n if type(held) is int else float(held)
+        count, value = held
         return float(value) if count is None else count / self.n
 
     def __eq__(self, other: object) -> bool:
@@ -105,10 +106,9 @@ def ratio_curve(n_max: int) -> list[DensitySample]:
         raise ValueError("n_max must be between 1 and 10**4")
     out, f, g = [], 1, 1
     for n in range(1, n_max + 1):
-        r, s = object.__new__(Fraction), object.__new__(DensitySample)  # no __init__ runs for either
-        r._numerator, r._denominator = f, g  # as Fraction._from_coprime_ints (Python 3.12) builds it
-        s.n, s._held = n, r  # the value form
-        out.append(s)
+        r = object.__new__(Fraction)  # as Fraction._from_coprime_ints (Python 3.12) builds it
+        r._numerator, r._denominator = f, g
+        out.append(DensitySample(n, r))
         f, g = g, f + g
     return out
 

@@ -146,7 +146,7 @@ def infinite_prefix(length: int) -> Word:
     if not 0 <= length <= len(kept := words._mask_source):
         kept = _unchecked_word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
         if length <= PREFIX_CACHE_SYMBOLS:
-            words._mask_source = kept  # replaced only by a longer one; racing threads may keep either
+            words._keep_mask_source(kept)  # replaced only by a longer one; racing threads may keep either
     return _unchecked_word(BINARY, kept.text[:length])
 
 

@@ -264,9 +264,19 @@ def _unchecked_word(alphabet: Alphabet, text: str) -> Word:
     return w
 
 
-#: Prefixes of this word cut their letter masks from its masks; fibonacci.infinite_prefix sets it.
+#: Prefixes of this word cut their letter masks from its masks; set by _keep_mask_source.
 _mask_source = _unchecked_word(BINARY, "")
 _source_parsed: tuple = (None, 0, {})  # (_mask_source, how many of its first symbols are parsed, their masks)
+
+
+def _keep_mask_source(w: Word) -> None:
+    """Make w _mask_source.  The masks parsed so far carry over to w if it starts with the symbols they
+    were parsed from, so the word they were parsed from is freed and those symbols are not parsed again."""
+    global _mask_source, _source_parsed
+    old, parsed, masks = _source_parsed
+    extends = old is not None and old.alphabet == w.alphabet and w.text.startswith(old.text[:parsed])
+    # only a parse that grows sets w._masks, so a parse already as long as w starts over
+    _mask_source, _source_parsed = w, (w, parsed, masks) if extends and parsed < len(w) else (None, 0, {})
 
 
 def _require_same_alphabet(u: Word, v: Word) -> None:

@@ -192,6 +192,7 @@ def test_counts_in_kept_prefix_slices_match_the_oracle(monkeypatch, warm):
 
 def test_kept_prefix_masks_grow_with_the_counted_slices(monkeypatch):
     monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    monkeypatch.setattr(words, "_source_parsed", (None, 0, {}))
     size = 10**5
     infinite_prefix(size)
     source = words._mask_source
@@ -206,19 +207,32 @@ def test_kept_prefix_masks_grow_with_the_counted_slices(monkeypatch):
         assert words._source_parsed[:2] == (source, parsed)
         assert (source._masks is None) == (parsed < size)  # the kept prefix holds only whole masks
     assert source._masks is words._source_parsed[2] and _letter_masks(source) is source._masks
-    infinite_prefix(3 * size)  # a longer kept prefix starts its own parse
+    infinite_prefix(3 * size)  # a longer kept prefix takes the parsed masks over, and the cache drops source
     grown = words._mask_source
     assert grown is not source and grown.text.startswith(source.text)
-    for n in (size + 1, 17, 2 * size + 3):
+    assert words._source_parsed == (grown, size, source._masks) and grown._masks is None
+    for n, parsed in ((size + 1, 2 * size), (17, 2 * size), (2 * size + 3, 3 * size)):
         w = infinite_prefix(n)
         ones = int(w.text[::-1], 2)
         assert _letter_masks(w) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
-    assert words._source_parsed[:2] == (grown, 2 * size + 3)
+        assert words._source_parsed[:2] == (grown, parsed)
+    assert grown._masks is words._source_parsed[2]
+
+
+def test_masks_parsed_of_another_word_do_not_carry_over(monkeypatch):
+    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    for other in (BINARY.word("0110"), Word(Alphabet("01a"), "010"), Word(Alphabet("10"), "010")):
+        monkeypatch.setattr(words, "_source_parsed", (other, len(other), dict.fromkeys(other.alphabet.symbols, 0)))
+        w = infinite_prefix(len(words._mask_source) + 100)
+        assert words._source_parsed == (None, 0, {})
+        ones = int(w.text[::-1], 2)
+        assert _letter_masks(w) == {"1": ones, "0": ((1 << len(w)) - 1) ^ ones}
 
 
 @pytest.mark.parametrize("parsed", ["cold", "partial", "full"])
 def test_counts_match_the_oracle_whatever_the_kept_masks_hold(monkeypatch, parsed):
     monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    monkeypatch.setattr(words, "_source_parsed", (None, 0, {}))
     size = 5000
     infinite_prefix(size)
     source = words._mask_source
@@ -235,13 +249,16 @@ def test_counts_match_the_oracle_whatever_the_kept_masks_hold(monkeypatch, parse
     assert source._masks is not None  # the last count reached the whole kept prefix
 
 
-def test_a_first_count_parses_only_what_it_needs(monkeypatch):
+@pytest.mark.parametrize("counted_before", [False, True])
+def test_a_first_count_parses_only_what_it_needs(monkeypatch, counted_before):
     # right after the kept prefix grows to ~10**6 symbols, a count in a short slice does not
-    # parse all of them (that took ~5 ms)
+    # parse all of them (that took ~5 ms); masks parsed before the growth carry over
     pattern, times = BINARY.word("010"), []
     for _ in range(3):
         monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
-        count_occurrences(pattern, infinite_prefix(10**5))
+        monkeypatch.setattr(words, "_source_parsed", (None, 0, {}))
+        if counted_before:
+            count_occurrences(pattern, infinite_prefix(10**5))
         infinite_prefix(983_656)
         w = infinite_prefix(2 * 10**4)
         start = time.perf_counter()
@@ -249,7 +266,7 @@ def test_a_first_count_parses_only_what_it_needs(monkeypatch):
         times.append(time.perf_counter() - start)
         assert count == oracle.brute_count(pattern, w)
     assert min(times) < 1e-3
-    assert words._source_parsed[1] == 2 * 10**4
+    assert words._source_parsed[1] == (10**5 if counted_before else 2 * 10**4)
 
 
 def test_many_letter_masks_use_one_table_and_keep_none():

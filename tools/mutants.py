@@ -1,7 +1,6 @@
 """Run tier-1 against one-line mutants of src/fibword and report which ones it kills.
 
-    python3 tools/mutants.py                 # every mutant, two at a time
-    python3 tools/mutants.py --jobs 1 --only form-test-flipped guard-distinct-factors
+    python3 tools/mutants.py
 
 Each mutant is (name, file, old line, new line, why).  For each one the files tier-1
 reads (src/, tests/, perfbench/, pyproject.toml, README.md and BENCHMARK.json) are
@@ -10,23 +9,23 @@ runs there:
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
-The unmutated tree runs first.  A mutant is killed when its set of failing tests
-differs from the unmutated tree's set, which holds the by-design failure; no test is
-deselected.  A mutant whose old line is missing or not unique is reported as not
-applied, and one whose run passes the time limit counts as killed.  This script sits
-outside tier-1's testpaths, so the suite never runs it.
+The unmutated tree runs first, and every run is one at a time, so the suite's
+wall-clock limits meet the same load on both sides.  A mutant is killed when a test
+that passed on the unmutated tree fails on the mutant and fails again when the tests
+that newly failed run a second time; the by-design failure is in both sets, and no
+test is deselected.  A mutant whose old line is missing or not unique is reported as
+not applied, and one whose run passes the time limit counts as killed.  This script
+sits outside tier-1's testpaths, so the suite never runs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,16 +36,16 @@ TIME_LIMIT_S = 1200
 #: (name, file under src/fibword, old line, new line, why); lines are matched whole, indentation included
 MUTANTS = [
     ("form-test-flipped", "density.py",
-     "        return (held, None) if type(held) is int else held if type(held) is tuple else (None, held)",
-     "        return (held, None) if type(held) is not int else held if type(held) is tuple else (None, held)",
-     "DensitySample reads a bare int as the count and anything else as the value"),
+     "        self.n, self._held = n, count if type(count) is int else value if type(value) is Fraction else (count, value)",
+     "        self.n, self._held = n, count if type(count) is not int else value if type(value) is Fraction else (count, value)",
+     "DensitySample holds an int count bare and any count of another type with its value, as given"),
     ("int-list-one-off", "density.py",
      "    deque(map(DensitySample.n.__set__, samples, islice(ints, 1, None)), 0)",
      "    deque(map(DensitySample.n.__set__, samples, islice(ints, 0, None)), 0)",
      "the letter curve's n run from 1; read from 0, each sample is one position early"),
     ("value-real-through-value", "density.py",
-     "        return float(value) if count is None else count / self.n",
-     "        return float(self.value)",
+     "            return held / self.n if type(held) is int else float(held)",
+     "            return float(self.value)",
      "value_real must not build the Fraction: CSV reads no exact value, and a Fraction count gives a Fraction"),
     ("mask-growth-unshifted", "words.py",
      "            kept = {c: m | masks[c] << start for c, m in kept.items()}",
@@ -56,6 +55,10 @@ MUTANTS = [
      "        text = source.text[start : max(len(w), min(2 * start, len(source)))] if start < len(w) else \"\"",
      "        text = source.text[start : len(w)] if start < len(w) else \"\"",
      "each growth parses at least as far again as before, so the total parse stays linear"),
+    ("mask-carry-unchecked", "words.py",
+     "    extends = old is not None and old.alphabet == w.alphabet and w.text.startswith(old.text[:parsed])",
+     "    extends = old is not None and old.alphabet == w.alphabet",
+     "parsed masks carry over to a longer kept prefix only if it starts with the symbols they were parsed from"),
     ("guard-distinct-factors", "words.py",
      "            if (held := block_chars + len(seen) * k) > DISTINCT_FACTORS_GUARD:",
      "            if (held := block_chars + len(seen) * k) >= DISTINCT_FACTORS_GUARD:",
@@ -95,55 +98,60 @@ def _apply(tree: Path, file: str, old: str, new: str) -> bool:
     return True
 
 
-def _run(mutant: tuple | None) -> tuple[str, set[str], str, float]:
-    """Tier-1 on a copy of the tree with mutant applied: ("ran", the failing test ids, pytest's last
-    line, seconds), or ("not applied", ...) or ("timed out", ...) with no failing ids."""
+def _tier_1(tree: Path, tests: list[str]) -> tuple[set[str], str] | None:
+    """The failing test ids and pytest's last line, for the given tests or all of tier-1; None on a timeout."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        run = subprocess.run(TIER_1 + tests, cwd=tree, env=env, capture_output=True, text=True, timeout=TIME_LIMIT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    lines = run.stdout.strip().splitlines()
+    failed = {line.split(" ", 1)[1].split(" - ", 1)[0] for line in lines if line.startswith(("FAILED ", "ERROR "))}
+    return failed, lines[-1] if lines else f"exit {run.returncode}, no output"
+
+
+def _run(mutant: tuple | None, base: set[str]) -> tuple[str, set[str], str, float]:
+    """Tier-1 on a copy of the tree with mutant applied: (status, the failing test ids, pytest's last line,
+    seconds).  The status is "ran", "not applied" or "timed out"; a mutant's tests that fail outside base
+    run once more, and the ids kept are base's failures and those that failed twice."""
     with tempfile.TemporaryDirectory(prefix="fibword-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
         if mutant is not None and not _apply(tree, *mutant[1:4]):
             return "not applied", set(), "old line missing or not unique", 0.0
-        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
-        try:
-            run = subprocess.run(TIER_1, cwd=tree, env=env, capture_output=True, text=True, timeout=TIME_LIMIT_S)
-        except subprocess.TimeoutExpired:
+        if (result := _tier_1(tree, [])) is None:
             return "timed out", set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
-        lines = run.stdout.strip().splitlines()
-        failed = {line.split(" ", 1)[1].split(" - ", 1)[0] for line in lines if line.startswith(("FAILED ", "ERROR "))}
-        return "ran", failed, lines[-1] if lines else f"exit {run.returncode}, no output", time.perf_counter() - start
+        failed, summary = result
+        if mutant is not None and (newly := sorted(failed - base)):
+            again = _tier_1(tree, newly)
+            failed = (failed & base) | (set(newly) if again is None else again[0] & set(newly))
+        return "ran", failed, summary, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
-    if args.only and len(chosen) != len(set(args.only)):
-        parser.error(f"unknown mutant among {args.only}; known: {', '.join(m[0] for m in MUTANTS)}")
-
-    status, base, summary, seconds = _run(None)
+def main() -> int:
+    status, base, summary, seconds = _run(None, set())
     if status != "ran":
         print(f"error: the unmutated tree gave no result ({summary})", file=sys.stderr)
         return 2
     print(f"unmutated: {summary} in {seconds:.0f} s; failing: {', '.join(sorted(base)) or 'none'}")
     killed = 0
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        for (name, file, _, _, why), (status, failed, summary, seconds) in zip(chosen, pool.map(_run, chosen)):
-            if status == "not applied":
-                verdict = status
-            elif status == "timed out" or failed != base:
-                verdict, killed = "killed", killed + 1
-            else:
-                verdict = "SURVIVED"
-            print(f"{verdict:11s} {name} ({file}): {summary} in {seconds:.0f} s; {why}")
-            newly = sorted(failed - base)
-            for test in newly[:5]:
-                print(f"            fails {test}")
-            if len(newly) > 5:
-                print(f"            and {len(newly) - 5} more")
-    print(f"{killed} of {len(chosen)} mutants killed")
+    for mutant in MUTANTS:
+        name, file, _, _, why = mutant
+        status, failed, summary, seconds = _run(mutant, base)
+        newly = sorted(failed - base)
+        if status == "not applied":
+            verdict = status
+        elif status == "timed out" or newly:
+            verdict, killed = "killed", killed + 1
+        else:
+            verdict = "SURVIVED"
+        print(f"{verdict:11s} {name} ({file}): {summary} in {seconds:.0f} s; {why}")
+        for test in newly[:5]:
+            print(f"            fails {test}")
+        if len(newly) > 5:
+            print(f"            and {len(newly) - 5} more")
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
     return 0
 
 
