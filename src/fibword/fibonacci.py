@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-from . import words
-from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _Record, _unchecked_word
+from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _letter_masks, _Record, _unchecked_word
 
 #: Largest index where the double-precision Binet form still identifies
 #: the exact integer.
@@ -23,7 +22,7 @@ BINET_MAX_N = 70
 #: infinite word.
 FIBONACCI_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "0"})
 
-#: infinite_prefix keeps its longest prefix up to this length: 1 MB, 256 KB more once counted.
+#: infinite_prefix keeps its longest prefix up to this length with its letter masks: 1 MB and 256 KB.
 PREFIX_CACHE_SYMBOLS = 2**20
 
 
@@ -140,14 +139,23 @@ def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     return _unchecked_word(seeds.first.alphabet, images["0"])
 
 
+_kept = _unchecked_word(BINARY, "")  # the longest prefix infinite_prefix has kept; its masks are whole
+
+
 def infinite_prefix(length: int) -> Word:
-    """First `length` symbols of the fixed point of 0 -> 01, 1 -> 0 starting from 0,
-    sliced from the longest prefix built so far of at most PREFIX_CACHE_SYMBOLS symbols."""
-    if not 0 <= length <= len(kept := words._mask_source):
-        kept = _unchecked_word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
-        if length <= PREFIX_CACHE_SYMBOLS:
-            words._keep_mask_source(kept)  # replaced only by a longer one; racing threads may keep either
-    return _unchecked_word(BINARY, kept.text[:length])
+    """First `length` symbols of the fixed point of 0 -> 01, 1 -> 0 starting from 0, sliced with
+    its letter masks from the longest prefix built so far of at most PREFIX_CACHE_SYMBOLS symbols."""
+    global _kept
+    if not 0 <= length <= len(kept := _kept):
+        built = _unchecked_word(BINARY, FIBONACCI_MORPHISM.fixed_point_prefix("0", length))
+        if length > PREFIX_CACHE_SYMBOLS:
+            return built  # not kept; its masks are parsed on its first count
+        new = _letter_masks(built[len(kept) :])  # only the symbols past kept are parsed
+        built._masks = {c: m | new[c] << len(kept) for c, m in _letter_masks(kept).items()}
+        _kept = kept = built  # replaced only by a longer one; racing threads may keep either
+    w, whole = _unchecked_word(BINARY, kept.text[:length]), (1 << length) - 1
+    w._masks = {c: m & whole for c, m in _letter_masks(kept).items()}
+    return w
 
 
 def _floor_mult_phi(n: int) -> int:

@@ -264,21 +264,6 @@ def _unchecked_word(alphabet: Alphabet, text: str) -> Word:
     return w
 
 
-#: Prefixes of this word cut their letter masks from its masks; set by _keep_mask_source.
-_mask_source = _unchecked_word(BINARY, "")
-_source_parsed: tuple = (None, 0, {})  # (_mask_source, how many of its first symbols are parsed, their masks)
-
-
-def _keep_mask_source(w: Word) -> None:
-    """Make w _mask_source.  The masks parsed so far carry over to w if it starts with the symbols they
-    were parsed from, so the word they were parsed from is freed and those symbols are not parsed again."""
-    global _mask_source, _source_parsed
-    old, parsed, masks = _source_parsed
-    extends = old is not None and old.alphabet == w.alphabet and w.text.startswith(old.text[:parsed])
-    # only a parse that grows sets w._masks, so a parse already as long as w starts over
-    _mask_source, _source_parsed = w, (w, parsed, masks) if extends and parsed < len(w) else (None, 0, {})
-
-
 def _require_same_alphabet(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
@@ -286,26 +271,16 @@ def _require_same_alphabet(u: Word, v: Word) -> None:
 
 def _letter_masks(w: Word) -> dict[str, int]:
     """One bitmask per letter, built on w's first call and kept on w: bit i is set iff w.text[i] is that
-    letter.  Parsed but for the last letter's, the complement of the others, or cut from _mask_source's,
-    parsed on to len(w) or twice as far and kept on it once whole.  Racing threads may keep either build."""
-    global _source_parsed
+    letter.  Parsed but for the last letter's, the complement of the others; infinite_prefix sets them on
+    the prefixes it cuts.  Racing threads may keep either build."""
     if (masks := w._masks) is not None:
         return masks
-    text, symbols, source, start, whole = w.text, w.alphabet.symbols, _mask_source, 0, (1 << len(w)) - 1
-    if cut := w.alphabet == source.alphabet and source.text.startswith(text):
-        _, start, kept = _source_parsed if _source_parsed[0] is source else (source, 0, dict.fromkeys(symbols, 0))
-        text = source.text[start : max(len(w), min(2 * start, len(source)))] if start < len(w) else ""
+    text, symbols = w.text, w.alphabet.symbols
     rev, masks, table = text[::-1], {}, dict.fromkeys(map(ord, symbols), "0")
     for c in symbols[:-1]:  # that letter alone "1"; int(rev, 2) has bit i for text[i]
         table[ord(c)] = "1"
         masks[c], table[ord(c)] = int(rev.translate(table) or "0", 2), "0"
     masks[symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
-    if cut:
-        if text:  # the new symbols' masks go in shifted past the parsed ones
-            kept = {c: m | masks[c] << start for c, m in kept.items()}
-            _source_parsed = source, start + len(text), kept
-            source._masks = kept if start + len(text) == len(source) else None
-        masks = {c: m & whole for c, m in kept.items()}
     w._masks = masks
     return masks
 

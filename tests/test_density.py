@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibword import oracle, words
+from fibword import fibonacci, oracle, words
 from fibword.cli import main
 from fibword.density import (
     DensitySample,
@@ -133,9 +133,10 @@ def test_letter_masks_stay_on_their_own_word():
 
 
 def test_pickles_and_copies_of_a_counted_word_carry_no_masks():
-    # the twins are equal, but only the counted word has built its letter masks
+    # the twins are equal, but only the counted word holds its letter masks
+    text = infinite_prefix(10**4).text
     for counted, twin, pattern in (
-        (infinite_prefix(10**4), infinite_prefix(10**4), BINARY.word("010")),
+        (infinite_prefix(10**4), Word(BINARY, text), BINARY.word("010")),
         (Word(Alphabet("xyz"), "xyzzy" * 2000), Word(Alphabet("xyz"), "xyzzy" * 2000), Word(Alphabet("xyz"), "zy")),
     ):
         expected = count_occurrences(pattern, counted)
@@ -154,31 +155,52 @@ while len(_RECURRENCE) < 3 * 10**4:
     _RECURRENCE, _NEXT = _NEXT, _NEXT + _RECURRENCE
 
 
+def _parsed_masks(text: str) -> dict[str, int]:
+    ones = int(text[::-1] or "0", 2)  # bit i set iff symbol i is 1
+    return {"1": ones, "0": ((1 << len(text)) - 1) ^ ones}
+
+
+def _empty_cache(monkeypatch) -> None:
+    monkeypatch.setattr(fibonacci, "_kept", words._unchecked_word(BINARY, ""))
+
+
+def _record_parses(monkeypatch) -> list[int]:
+    """The lengths of the nonempty words whose masks infinite_prefix parses from now on."""
+    lengths = []
+
+    def recording(w):
+        if w._masks is None and len(w):
+            lengths.append(len(w))
+        return _letter_masks(w)
+
+    monkeypatch.setattr(fibonacci, "_letter_masks", recording)
+    return lengths
+
+
 def test_masks_cut_from_the_kept_prefix_equal_parsed_masks(monkeypatch):
-    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    _empty_cache(monkeypatch)
     cap = PREFIX_CACHE_SYMBOLS
     infinite_prefix(cap)
-    assert words._mask_source._masks is None  # built on the first count, once
+    kept = fibonacci._kept._masks  # whole as soon as the prefix is kept
+    assert kept == _parsed_masks(fibonacci._kept.text)
     for n in (0, 1, 2, 63, 64, 65, 1000, 10**5, cap - 1, cap):
         w = infinite_prefix(n)
-        ones = int(w.text[::-1] or "0", 2)  # bit i set iff symbol i is 1
+        assert w._masks == _parsed_masks(w.text)  # cut with the slice, before any count
         for twin in (w, BINARY.word(w.text)):  # sliced by infinite_prefix or built from its text
-            assert _letter_masks(twin) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
-    source = words._mask_source._masks
-    assert source is not None and _letter_masks(words._mask_source) is source
+            assert _letter_masks(twin) == _parsed_masks(w.text)
+    assert _letter_masks(fibonacci._kept) is kept
     # not prefixes of the kept word: another alphabet, another text, a longer text
     text = infinite_prefix(5000).text
     for other in (Word(Alphabet("10"), text), BINARY.word("1" + text[1:]), infinite_prefix(cap + 1)):
-        ones = int(other.text[::-1], 2)
-        assert _letter_masks(other) == {"1": ones, "0": ((1 << len(other)) - 1) ^ ones}
-    assert words._mask_source._masks is source
+        assert _letter_masks(other) == _parsed_masks(other.text)
+    assert fibonacci._kept._masks is kept
 
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_counts_in_kept_prefix_slices_match_the_oracle(monkeypatch, warm):
-    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
-    if warm:
-        _letter_masks(infinite_prefix(PREFIX_CACHE_SYMBOLS))
+    _empty_cache(monkeypatch)
+    if warm:  # every slice below is cut from the kept prefix; cold, the first few grow it
+        infinite_prefix(PREFIX_CACHE_SYMBOLS)
     rng = random.Random(28)
     patterns = [BINARY.word(t) for t in ("11", "000")]
     for k in range(1, 9):
@@ -190,55 +212,39 @@ def test_counts_in_kept_prefix_slices_match_the_oracle(monkeypatch, warm):
             assert count_occurrences(pattern, prefix) == oracle.brute_count(pattern, prefix)
 
 
-def test_kept_prefix_masks_grow_with_the_counted_slices(monkeypatch):
-    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
-    monkeypatch.setattr(words, "_source_parsed", (None, 0, {}))
+def test_kept_prefix_masks_grow_with_the_kept_prefix(monkeypatch):
+    _empty_cache(monkeypatch)
     size = 10**5
     infinite_prefix(size)
-    source = words._mask_source
-    # growing, shrinking and interleaved slices; each parse reaches n or twice the parsed length
-    steps = [(5, 5), (64, 64), (65, 128), (1000, 1000), (300, 1000), (3000, 3000), (2999, 3000),
-             (40000, 40000), (7, 40000), (size - 1, size - 1), (12345, size - 1), (size, size)]
-    for n, parsed in steps:
+    source, parses = fibonacci._kept, _record_parses(monkeypatch)
+    # growing, shrinking and interleaved slices; none parses a symbol
+    for n in (5, 64, 65, 1000, 300, 3000, 2999, 40000, 7, size - 1, 12345, size):
         w = infinite_prefix(n)
-        ones = int(w.text[::-1] or "0", 2)
         for twin in (w, BINARY.word(w.text)):
-            assert _letter_masks(twin) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
-        assert words._source_parsed[:2] == (source, parsed)
-        assert (source._masks is None) == (parsed < size)  # the kept prefix holds only whole masks
-    assert source._masks is words._source_parsed[2] and _letter_masks(source) is source._masks
-    infinite_prefix(3 * size)  # a longer kept prefix takes the parsed masks over, and the cache drops source
-    grown = words._mask_source
+            assert _letter_masks(twin) == _parsed_masks(w.text)
+    assert parses == [] and fibonacci._kept is source
+    assert _letter_masks(source) is source._masks == _parsed_masks(source.text)
+    infinite_prefix(3 * size)  # a longer kept prefix parses only its new symbols, and the cache drops source
+    grown = fibonacci._kept
     assert grown is not source and grown.text.startswith(source.text)
-    assert words._source_parsed == (grown, size, source._masks) and grown._masks is None
-    for n, parsed in ((size + 1, 2 * size), (17, 2 * size), (2 * size + 3, 3 * size)):
+    assert parses == [2 * size] and grown._masks == _parsed_masks(grown.text)
+    pattern = BINARY.word("0100")
+    for n in (size + 1, 17, 2 * size + 3, 3 * size):
         w = infinite_prefix(n)
-        ones = int(w.text[::-1], 2)
-        assert _letter_masks(w) == {"1": ones, "0": ((1 << n) - 1) ^ ones}
-        assert words._source_parsed[:2] == (grown, parsed)
-    assert grown._masks is words._source_parsed[2]
+        assert _letter_masks(w) == _parsed_masks(w.text)
+        assert count_occurrences(pattern, w) == oracle.brute_count(pattern, w)
+    infinite_prefix(PREFIX_CACHE_SYMBOLS)
+    assert parses == [2 * size, PREFIX_CACHE_SYMBOLS - 3 * size]  # no symbol is parsed twice
+    assert fibonacci._kept._masks == _parsed_masks(fibonacci._kept.text)
 
 
-def test_masks_parsed_of_another_word_do_not_carry_over(monkeypatch):
-    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
-    for other in (BINARY.word("0110"), Word(Alphabet("01a"), "010"), Word(Alphabet("10"), "010")):
-        monkeypatch.setattr(words, "_source_parsed", (other, len(other), dict.fromkeys(other.alphabet.symbols, 0)))
-        w = infinite_prefix(len(words._mask_source) + 100)
-        assert words._source_parsed == (None, 0, {})
-        ones = int(w.text[::-1], 2)
-        assert _letter_masks(w) == {"1": ones, "0": ((1 << len(w)) - 1) ^ ones}
-
-
-@pytest.mark.parametrize("parsed", ["cold", "partial", "full"])
-def test_counts_match_the_oracle_whatever_the_kept_masks_hold(monkeypatch, parsed):
-    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
-    monkeypatch.setattr(words, "_source_parsed", (None, 0, {}))
+@pytest.mark.parametrize("grown", ["cold", "partial", "full"])
+def test_counts_match_the_oracle_whatever_the_kept_masks_hold(monkeypatch, grown):
+    _empty_cache(monkeypatch)
     size = 5000
-    infinite_prefix(size)
-    source = words._mask_source
-    if parsed != "cold":
-        _letter_masks(infinite_prefix(reach := 700 if parsed == "partial" else size))
-        assert words._source_parsed[:2] == (source, reach)
+    if grown != "cold":  # cold, each longer slice below grows the kept prefix; partial, those past 700
+        infinite_prefix(reach := 700 if grown == "partial" else size)
+        assert len(fibonacci._kept) == reach
     patterns = [BINARY.word(t) for t in ("11", "000")]
     for k in range(1, 7):
         patterns += sorted(oracle.brute_factor_set(BINARY.word(_RECURRENCE[:1000]), k), key=str)
@@ -246,27 +252,27 @@ def test_counts_match_the_oracle_whatever_the_kept_masks_hold(monkeypatch, parse
         prefix = infinite_prefix(n)
         for pattern in patterns:
             assert count_occurrences(pattern, prefix) == oracle.brute_count(pattern, prefix)
-    assert source._masks is not None  # the last count reached the whole kept prefix
+    assert len(fibonacci._kept) == size and fibonacci._kept._masks == _parsed_masks(fibonacci._kept.text)
 
 
 @pytest.mark.parametrize("counted_before", [False, True])
 def test_a_first_count_parses_only_what_it_needs(monkeypatch, counted_before):
-    # right after the kept prefix grows to ~10**6 symbols, a count in a short slice does not
-    # parse all of them (that took ~5 ms); masks parsed before the growth carry over
+    # right after the kept prefix grows to ~10**6 symbols, a count in a short slice parses
+    # nothing (parsing the whole kept prefix took ~5 ms); the growth parses only new symbols
     pattern, times = BINARY.word("010"), []
     for _ in range(3):
-        monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
-        monkeypatch.setattr(words, "_source_parsed", (None, 0, {}))
+        _empty_cache(monkeypatch)
         if counted_before:
             count_occurrences(pattern, infinite_prefix(10**5))
+        parses = _record_parses(monkeypatch)
         infinite_prefix(983_656)
         w = infinite_prefix(2 * 10**4)
-        start = time.perf_counter()
+        masks, start = w._masks, time.perf_counter()
         count = count_occurrences(pattern, w)
         times.append(time.perf_counter() - start)
-        assert count == oracle.brute_count(pattern, w)
+        assert count == oracle.brute_count(pattern, w) and w._masks is masks
+        assert parses == [983_656 - (10**5 if counted_before else 0)]
     assert min(times) < 1e-3
-    assert words._source_parsed[1] == (10**5 if counted_before else 2 * 10**4)
 
 
 def test_many_letter_masks_use_one_table_and_keep_none():

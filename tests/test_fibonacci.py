@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibword import words
+from fibword import fibonacci, words
 from fibword.fibonacci import (
     FIBONACCI_MORPHISM,
     _PSI,
@@ -155,6 +155,18 @@ def test_fib_word_guards():
         fib_word(10**9)
 
 
+def test_fib_word_admits_a_word_of_exactly_the_guard(monkeypatch):
+    # |w_20| = F_20 under the default seeds and |w_19| = F_20 under the reference seeds
+    monkeypatch.setattr(fibonacci, "SIZE_GUARD", fib(20))
+    assert fib_word(20) == infinite_prefix(fib(20))
+    assert len(fib_word(19, REFERENCE_SEEDS)) == fib(20)
+    monkeypatch.setattr(fibonacci, "SIZE_GUARD", fib(20) - 1)  # one symbol short of w_20
+    for n, seeds in ((20, fibonacci.DEFAULT_SEEDS), (19, REFERENCE_SEEDS), (21, fibonacci.DEFAULT_SEEDS)):
+        with pytest.raises(ValueError) as refused:
+            fib_word(n, seeds)
+        assert str(refused.value) == f"word would {words._SIZE_REFUSAL}"
+
+
 def test_fib_word_reference_seeds():
     w = fib_word(22, REFERENCE_SEEDS)
     assert len(w) == 28657
@@ -198,7 +210,7 @@ def _recurrence_text(length: int) -> str:
 
 
 def _empty_cache(monkeypatch) -> None:
-    monkeypatch.setattr(words, "_mask_source", words._unchecked_word(BINARY, ""))
+    monkeypatch.setattr(fibonacci, "_kept", words._unchecked_word(BINARY, ""))
 
 
 def test_infinite_prefix_around_the_cache_cap_matches_the_recurrence(monkeypatch):
@@ -209,10 +221,13 @@ def test_infinite_prefix_around_the_cache_cap_matches_the_recurrence(monkeypatch
     lengths, kept = [0, 1, cap - 1, cap, cap + 1], 0
     for length in lengths + lengths[::-1]:  # growing, then shrinking
         w = infinite_prefix(length)
-        assert w.text == reference[:length] and w.alphabet == BINARY and w._masks is None
+        assert w.text == reference[:length] and w.alphabet == BINARY
+        # a slice carries its masks; a prefix past the cap parses them when counted
+        ones = int(w.text[::-1] or "0", 2)
+        assert w._masks == ({"1": ones, "0": ((1 << length) - 1) ^ ones} if length <= cap else None)
         kept = max(kept, length) if length <= cap else kept  # only grows, never past the cap
-        assert len(words._mask_source) == kept
-    assert words._mask_source.text == reference[:cap]
+        assert len(fibonacci._kept) == kept
+    assert fibonacci._kept.text == reference[:cap]
     assert infinite_prefix(cap) is not infinite_prefix(cap)  # every call returns its own Word
 
 
@@ -232,11 +247,11 @@ def test_infinite_prefix_refusals_and_odd_lengths_leave_a_warm_cache_alone(monke
     assert cold[2][0] is TypeError and cold[3] == "0"
     _empty_cache(monkeypatch)
     infinite_prefix(1000)
-    kept = words._mask_source
+    kept = fibonacci._kept
     assert [_outcome(length) for length in odd] == cold
     for length in (PREFIX_CACHE_SYMBOLS + 1, 999, 5, 0):
         assert infinite_prefix(length).text == _recurrence_text(length)
-    assert words._mask_source is kept  # neither a prefix past the cap nor a shorter one replaced it
+    assert fibonacci._kept is kept  # neither a prefix past the cap nor a shorter one replaced it
     assert kept.text == _recurrence_text(1000)
 
 

@@ -141,6 +141,15 @@ def test_fixed_point_prefix():
             morphism.fixed_point_prefix("0", SIZE_GUARD + 1)
 
 
+def test_fixed_point_prefix_admits_exactly_the_guard(monkeypatch):
+    monkeypatch.setattr(words, "SIZE_GUARD", 100)  # the limit is read at each call; the message keeps 2**29
+    for morphism, word in ((FIBONACCI_MORPHISM, infinite_prefix), (THUE_MORSE_MORPHISM, thue_morse_prefix)):
+        assert morphism.fixed_point_prefix("0", 100) == word(100).text
+        with pytest.raises(ValueError) as refused:
+            morphism.fixed_point_prefix("0", 101)
+        assert str(refused.value) == f"prefix would {words._SIZE_REFUSAL}"
+
+
 def test_fixed_point_prefix_matches_repeated_apply():
     # Letters grow at different rates, and the image of c keeps its length
     # for one step (c -> b) before it grows.

@@ -47,18 +47,30 @@ MUTANTS = [
      "            return held / self.n if type(held) is int else float(held)",
      "            return float(self.value)",
      "value_real must not build the Fraction: CSV reads no exact value, and a Fraction count gives a Fraction"),
-    ("mask-growth-unshifted", "words.py",
-     "            kept = {c: m | masks[c] << start for c, m in kept.items()}",
-     "            kept = {c: m | masks[c] for c, m in kept.items()}",
-     "the symbols parsed on from start go in above the parsed ones"),
-    ("mask-growth-not-doubled", "words.py",
-     "        text = source.text[start : max(len(w), min(2 * start, len(source)))] if start < len(w) else \"\"",
-     "        text = source.text[start : len(w)] if start < len(w) else \"\"",
-     "each growth parses at least as far again as before, so the total parse stays linear"),
-    ("mask-carry-unchecked", "words.py",
-     "    extends = old is not None and old.alphabet == w.alphabet and w.text.startswith(old.text[:parsed])",
-     "    extends = old is not None and old.alphabet == w.alphabet",
-     "parsed masks carry over to a longer kept prefix only if it starts with the symbols they were parsed from"),
+    ("kept-growth-unshifted", "fibonacci.py",
+     "        built._masks = {c: m | new[c] << len(kept) for c, m in _letter_masks(kept).items()}",
+     "        built._masks = {c: m | new[c] for c, m in _letter_masks(kept).items()}",
+     "the masks of the symbols past the kept prefix go in above its masks"),
+    ("kept-growth-from-zero", "fibonacci.py",
+     "        new = _letter_masks(built[len(kept) :])  # only the symbols past kept are parsed",
+     "        new = {c: m >> len(kept) for c, m in _letter_masks(built).items()}",
+     "growth parses only the new symbols; parsing from symbol 0 gives equal masks but parses the kept ones again"),
+    ("slice-cut-unmasked", "fibonacci.py",
+     "    w._masks = {c: m & whole for c, m in _letter_masks(kept).items()}",
+     "    w._masks = {c: m for c, m in _letter_masks(kept).items()}",
+     "a slice's masks hold no bit past its length"),
+    ("kept-at-the-cap", "fibonacci.py",
+     "        if length > PREFIX_CACHE_SYMBOLS:",
+     "        if length >= PREFIX_CACHE_SYMBOLS:",
+     "a prefix of exactly PREFIX_CACHE_SYMBOLS symbols is kept"),
+    ("guard-fixed-point-prefix", "words.py",
+     "        if length > SIZE_GUARD:",
+     "        if length >= SIZE_GUARD:",
+     "a prefix of exactly SIZE_GUARD symbols is admitted"),
+    ("guard-fib-word", "fibonacci.py",
+     "        if size > SIZE_GUARD:",
+     "        if size >= SIZE_GUARD:",
+     "a word of exactly SIZE_GUARD symbols is admitted"),
     ("guard-distinct-factors", "words.py",
      "            if (held := block_chars + len(seen) * k) > DISTINCT_FACTORS_GUARD:",
      "            if (held := block_chars + len(seen) * k) >= DISTINCT_FACTORS_GUARD:",
