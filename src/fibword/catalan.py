@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .fibonacci import fib, fib_word
-from .words import Word, _Record
+from .words import Word, _admit, _Record
 
 
 def catalan(n: int) -> int:
@@ -39,8 +39,9 @@ def limit_function_g(n: int) -> Fraction:
 
     Equals 1 + (n+1)/binom(2n, n), the form evaluated, and decreases to 1.
     """
-    if not 1 <= n <= 200:
-        raise ValueError("n must be between 1 and 200")
+    if n < 1:
+        raise ValueError("n must be positive")
+    _admit("catalan_table", n)
     return 1 + Fraction(n + 1, math.comb(2 * n, n))
 
 
@@ -60,22 +61,21 @@ def catalan_record(n: int) -> CatalanRecord:
 
 def catalan_table(n_max: int) -> list[CatalanRecord]:
     """Records for n = 1..n_max."""
-    if not 1 <= n_max <= 200:
-        raise ValueError("n_max must be between 1 and 200")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    _admit("catalan_table", n_max)
     return [catalan_record(n) for n in range(1, n_max + 1)]
 
 
 def fib_word_at_catalan(n: int) -> Word:
     """The Fibonacci word whose index is the n-th Catalan number.
 
-    Defined for n >= 3; refused once C_n would make the word longer than
-    the generation guard allows (C_n <= 30).
+    Defined for n >= 3; refused past its own guard on C_n (30), below what
+    the "generation" guard admits (C_5 = 42: |w_42| = F_42 < 2**29).
     """
     if n < 3:
         raise ValueError("defined for n >= 3")
-    c = catalan(n)
-    if c > 30:
-        raise ValueError(f"C_{n} = {c} exceeds the word-size guard (C_n <= 30)")
+    _admit("fib_word_at_catalan", c := catalan(n))
     return fib_word(c)
 
 

@@ -21,7 +21,7 @@ from itertools import accumulate, count, islice, repeat
 from operator import add
 
 from .fibonacci import PHI, fib, infinite_prefix
-from .words import Word, _letter_masks, _Record, _require_same_alphabet
+from .words import Word, _admit, _letter_masks, _Record, _require_same_alphabet
 
 
 class DensitySample:
@@ -102,8 +102,9 @@ def ratio_curve(n_max: int) -> list[DensitySample]:
     """Samples (n, F_n / F_{n+1}) for n = 1..n_max, exact; they oscillate around and
     converge to phi - 1.  F_n and F_(n+1) are coprime, so each pair is set into a
     Fraction as it stands, in lowest terms without a gcd."""
-    if not 1 <= n_max <= 10**4:
-        raise ValueError("n_max must be between 1 and 10**4")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    _admit("ratio_curve", n_max)  # the Fractions grow to ~7,000 bits at 10**4
     out, f, g = [], 1, 1
     for n in range(1, n_max + 1):
         r = object.__new__(Fraction)  # as Fraction._from_coprime_ints (Python 3.12) builds it
@@ -114,14 +115,13 @@ def ratio_curve(n_max: int) -> list[DensitySample]:
 
 
 def letter_density_curve(letter: str, n_max: int) -> list[DensitySample]:
-    """Samples (n, |prefix_n|_letter / n) for n = 1..n_max <= 10**6, exact,
-    built from the letter counts."""
+    """Samples (n, |prefix_n|_letter / n) for n = 1..n_max, exact, built
+    from the letter counts."""
     if letter not in ("0", "1"):
         raise ValueError("letter must be '0' or '1'")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if n_max > 10**6:
-        raise ValueError("n_max must be at most 10**6 (about 88 bytes per sample)")
+    _admit("letter_density_curve", n_max)
     marks = dict.fromkeys(b"01", 0) | {ord(letter): 1}  # the letter becomes byte 1, the other 0
     ints = list(range(n_max + 1))  # a count is at most its n, so it is the int object of an earlier n
     counts = map(ints.__getitem__, accumulate(infinite_prefix(n_max).text.translate(marks).encode()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .words import BINARY, SIZE_GUARD, _SIZE_REFUSAL, Morphism, Word, _letter_masks, _Record, _unchecked_word
+from .words import BINARY, Morphism, Word, _admit, _letter_masks, _Record, _unchecked_word
 
 #: Largest index where the double-precision Binet form still identifies
 #: the exact integer.
@@ -120,8 +120,8 @@ REFERENCE_SEEDS = FibSeeds(Word(BINARY, "1"), Word(BINARY, "10"))
 def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     """n-th word of the recurrence w_n = w_{n-1} w_{n-2} from the seeds.
 
-    Under the default seeds |w_n| = F_n.  Growth past SIZE_GUARD symbols is
-    refused before any allocation happens.  w_n = h(phi^(n-2)(0)) for n >= 2,
+    Under the default seeds |w_n| = F_n.  Growth past the "generation" guard
+    is refused before any allocation happens.  w_n = h(phi^(n-2)(0)) for n >= 2,
     where phi = FIBONACCI_MORPHISM and h maps 1, 0 to the first, second seed.
     """
     if n < 1:
@@ -129,8 +129,7 @@ def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     size, after = len(seeds.first), len(seeds.second)  # |w_1|, |w_2|
     for _ in range(n - 1):
         size, after = after, size + after
-        if size > SIZE_GUARD:
-            raise ValueError(f"word would {_SIZE_REFUSAL}")
+        _admit("generation", size)
     if n == 1:
         return seeds.first
     images = {"0": seeds.second.text, "1": seeds.first.text}

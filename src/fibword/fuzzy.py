@@ -9,9 +9,7 @@ fibonacci.fib_word over the seeds b, a.
 from __future__ import annotations
 
 from .fibonacci import FibSeeds, fib_word
-from .words import AB, Word, _Record
-
-FUZZY_GUARD = 30
+from .words import AB, Word, _admit, _Record
 
 
 class FuzzyWord(_Record):
@@ -35,8 +33,7 @@ def fuzzy_fib_word(n: int, mu_a: float, mu_b: float) -> FuzzyWord:
     F(n) = F(n-1) F(n-2), each symbol carrying its letter's degree."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > FUZZY_GUARD:
-        raise ValueError(f"generation is limited to n <= {FUZZY_GUARD}")
+    _admit("fuzzy_fib_word", n)
     if not (0.0 <= mu_a <= 1.0 and 0.0 <= mu_b <= 1.0):
         raise ValueError("membership degrees must lie in [0, 1]")
     word = fib_word(n + 1, FibSeeds(Word(AB, "b"), Word(AB, "a")))

@@ -15,19 +15,9 @@ from operator import add, sub
 
 from .density import DensitySample, count_occurrences
 from .fibonacci import infinite_prefix
-from .words import BINARY, Word, _Record, _unchecked_word
+from .words import BINARY, GUARDS, Word, _admit, _Record, _unchecked_word
 
-#: sp_count's cost is the reachable intervals (~17 % of |w|^2/2 on random words,
-#: ~6 % on Fibonacci prefixes) times the letters looked up in each: at the guard a
-#: random ternary word takes ~8 s and ~7 MB above the import, one over 26 letters
-#: ~14 s and ~10 MB (2-CPU VM, Python 3.11).  Longer inputs are refused.
-SP_COUNT_GUARD = 10**4
 _BITS = bytes.maketrans(b"01", b"\0\1")  # a binary string's digits as bytes 0 and 1, for compress
-
-#: pal_factors builds every factor as a string, so it refuses words whose factors
-#: total more characters: Fibonacci prefixes past 16,509 symbols, or a^n past 14,141.
-#: The tree stops at the first symbol that takes the running total past it.
-PAL_FACTORS_GUARD = 10**8
 
 
 def is_palindrome(w: Word) -> bool:
@@ -64,7 +54,7 @@ def _pal_factor_strings(text: str) -> list[str]:
     """
     lens, links, starts = [-1, 0], [0, 0], [0, 0]
     edges: dict[int, int] = {}
-    last, total = 1, 0  # the longest palindromic suffix read so far; the node lengths' sum
+    last, total, limit = 1, 0, GUARDS["pal_factors"][0]  # the longest palindromic suffix read; lengths' sum
     for pos, ch in enumerate(text):
         v = last
         while (i := pos - lens[v] - 1) < 0 or text[i] != ch:
@@ -79,11 +69,8 @@ def _pal_factor_strings(text: str) -> list[str]:
             lens.append(lens[v] + 2)
             starts.append(i)
             total += lens[-1]
-            if total > PAL_FACTORS_GUARD:
-                raise ValueError(
-                    f"pal_factors is limited to {PAL_FACTORS_GUARD} characters of factors in all; "
-                    f"the palindromic factors of this word's first {pos + 1} symbols total {total}"
-                )
+            if total > limit:  # every factor is built as a string: stop before any is
+                _admit("pal_factors", total, pos + 1)
     return [text[s : s + n] for s, n in zip(starts[2:], lens[2:])]
 
 
@@ -108,8 +95,7 @@ def sp_count(w: Word) -> int:
     """
     s = w.text
     n = len(s)
-    if n > SP_COUNT_GUARD:
-        raise ValueError(f"sp_count is limited to |w| <= {SP_COUNT_GUARD}")
+    _admit("sp_count", n)  # the cost is the reachable intervals times the letters looked up in each
     nxt, head = [n] * (n + 1), {}  # nxt[p]: the next occurrence of s[p]; head[c]: the first c
     for p in range(n - 1, -1, -1):
         nxt[p], head[s[p]] = head.get(s[p], n), p

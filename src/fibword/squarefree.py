@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .words import AB, ABC, BINARY, Morphism, Word, _letter_masks, _Record, _unchecked_word
+from .words import AB, ABC, BINARY, Morphism, Word, _admit, _letter_masks, _Record, _unchecked_word
 
 #: Thue-Morse substitution; its fixed point from 0 is overlap-free.
 THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
@@ -22,10 +22,6 @@ DELTA_MORPHISM = Morphism(ABC, AB, {"a": "abb", "b": "ab", "c": "a"})
 _DELTA_RUNS = {img.text[1:]: c for c, img in DELTA_MORPHISM.images.items()}  # b's after the a
 
 _SQUARE_FREE_ALPHABETS = {2: AB, 3: ABC}
-#: enumerate_square_free(3, 20) and brandenburg_table(20) each take ~20-35 ms and under
-#: 1 MB above the import (2-CPU VM, Python 3.11); s(n) grows ~1.3x per letter past it.
-ENUMERATION_GUARD = 20
-REPETITION_GUARD = 2**16
 
 
 def is_square_free(w: Word) -> bool:
@@ -45,8 +41,7 @@ def _square_free_levels(alphabet_size: int, n: int) -> Iterator[list[str]]:
         raise ValueError("alphabet size must be 2 or 3")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration is limited to n <= {ENUMERATION_GUARD}")
+    _admit("enumeration", n)  # s(n) grows ~1.3x per letter
     level = [""]
     yield level
     for length in range(n):
@@ -91,8 +86,8 @@ def brandenburg_table(n_max: int) -> list[BoundRow]:
     """Rows (n, s(n), 6*1.032**n, 6*1.379**n, flags) for ternary words,
     n = 1..n_max.  Reports, never asserts: small-n rows fail the printed
     lower bound."""
-    if not 1 <= n_max <= ENUMERATION_GUARD:
-        raise ValueError(f"n_max must be between 1 and {ENUMERATION_GUARD}")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     counts = [len(level) for level in _square_free_levels(3, n_max)]  # s(0..n_max) in one pass
     rows = []
     for n in range(1, n_max + 1):
@@ -121,11 +116,7 @@ def _has_ones_run(z: int, k: int) -> bool:
 def _has_periodic_factor(w: Word, extra: int) -> bool:
     """Does w have a factor of length 2p + extra with period p, for some p >= 1?
     A square is extra = 0, an overlap extra = 1."""
-    if len(w) > REPETITION_GUARD:
-        raise ValueError(
-            f"repetition tests are limited to |w| <= {REPETITION_GUARD} "
-            "(~|w|**2/64 word operations, 0.6-0.9 s at the limit)"
-        )
+    _admit("repetition_test", len(w))
     # Bit i of a letter's mask is set iff symbol i is that letter, so bit i
     # of `agree` is set iff symbols i and i+p are equal; such a factor is
     # p + extra consecutive agreement positions.

@@ -12,15 +12,28 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-#: Morphism.fixed_point_prefix (and fib_word) refuse more symbols than this.  Peak RSS past
-#: the import is 2.9-3.1 bytes per symbol for infinite_prefix and 2.0 for thue_morse_prefix
-#: at 2**24 and 2**26 symbols (2-CPU VM, Python 3.11), so ~1.1-1.7 GB at the guard.
-SIZE_GUARD = 2**29
-_SIZE_REFUSAL = f"exceed the {SIZE_GUARD}-symbol guard (about 3 bytes of memory per symbol)"
+#: Every size guard, as name: (limit, unit, cost at the limit on a 2-CPU VM, Python 3.11); see _admit.
+GUARDS = {
+    "generation": (2**29, "symbols", "1.55-1.69 GB and 4-14 s"),  # fixed_point_prefix, fib_word
+    "distinct_factors": (10**8, "characters of blocks and factors", "~96 MB"),  # counted in text order
+    "pal_factors": (10**8, "characters of factors", "~210 MB and ~0.35 s"),  # the eertree's running total
+    "sp_count": (10**4, "symbols", "8-14 s and 7-10 MB on random words"),
+    "enumeration": (20, "symbols", "20-35 ms and under 1 MB"),  # square-free words and their counts
+    "repetition_test": (2**16, "symbols", "0.6-0.9 s"),  # squares and overlaps, ~|w|**2/64 word operations
+    "fuzzy_fib_word": (30, "steps", "3.7 s and 229 MB as JSON"),
+    "ratio_curve": (10**4, "samples", "7.5 ms and 6.4 MB"),
+    "letter_density_curve": (10**6, "samples", "~88 bytes each: 216-366 MB and 2.9-6.7 s through the CLI"),
+    "catalan_table": (200, "rows", "2.1 ms"),  # and limit_function_g
+    "fib_word_at_catalan": (30, "for the word index C_n", "0.7-1.1 ms and 1.6 MB"),
+}
 
-#: distinct_factors holds its distinct 64-window blocks and its distinct factors as strings;
-#: it refuses a word once their characters, counted block by block in text order, pass this.
-DISTINCT_FACTORS_GUARD = 10**8
+
+def _admit(name: str, need: int, read: int | None = None) -> None:
+    """Refuse a need past guard `name`, with the limit, its unit and cost, and the symbols read if given."""
+    limit, unit, cost = GUARDS[name]
+    if need > limit:
+        needs = "this input needs" if read is None else f"its first {read} symbols need"
+        raise ValueError(f"{name} is limited to {limit} {unit} ({cost} at the limit); {needs} {need}")
 
 
 class _DataclassFields:  # dataclasses is imported only when its functions ask for a record's fields
@@ -231,8 +244,7 @@ class Morphism:
             raise ValueError(f"cannot iterate {self!r} from {seed!r}")
         if length < 0:
             raise ValueError("prefix length must be nonnegative")
-        if length > SIZE_GUARD:
-            raise ValueError(f"prefix would {_SIZE_REFUSAL}")
+        _admit("generation", length)
         images, seed_image = {c: c for c in self.domain.symbols}, self.images[seed].text
         idle = 0  # steps without growth; len(domain) in a row mean it never grows again
         while len(images[seed]) < length:
@@ -313,7 +325,7 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
     the empty word."""
     if k < 0:
         raise ValueError("factor length must be nonnegative")
-    text, blocks, seen, block_chars = w.text, set(), set(), 0
+    text, blocks, seen, block_chars, limit = w.text, set(), set(), 0, GUARDS["distinct_factors"][0]
     # window i is cuts[i % 64] of the block at i - i % 64; only a block not met before is cut up
     cuts = [slice(j, j + k) for j in range(64)]
     for s in range(0, len(text) - k + 1, 64):
@@ -321,8 +333,6 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
             blocks.add(block)
             seen.update(map(block.__getitem__, cuts[: len(block) - k + 1]))
             block_chars += len(block)
-            if (held := block_chars + len(seen) * k) > DISTINCT_FACTORS_GUARD:
-                raise ValueError(
-                    f"distinct_factors is limited to {DISTINCT_FACTORS_GUARD} characters of blocks and "
-                    f"factors in all; this word's first {s + len(block)} symbols need {held}")
+            if (held := block_chars + len(seen) * k) > limit:
+                _admit("distinct_factors", held, s + len(block))
     return [_unchecked_word(w.alphabet, t) for t in w.alphabet.sort_texts(seen)]

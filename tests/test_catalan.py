@@ -87,7 +87,7 @@ def test_fib_word_at_catalan():
     with pytest.raises(ValueError):
         fib_word_at_catalan(2)
     with pytest.raises(ValueError):
-        fib_word_at_catalan(5)  # C_5 = 42 exceeds the word-size guard
+        fib_word_at_catalan(5)  # C_5 = 42 is past its own guard, below the generation guard's F_43
 
 
 def test_catalan_record_invariants():

@@ -64,8 +64,9 @@ def test_generate_far_past_the_guard_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "generate", "--n", "1000000000")
     assert code == 3
     assert out == ""
-    assert err == (
-        "error: word would exceed the 536870912-symbol guard (about 3 bytes of memory per symbol)\n"
+    assert err == (  # the first length past the limit, F_44
+        "error: generation is limited to 536870912 symbols (1.55-1.69 GB and 4-14 s at the limit); "
+        "this input needs 701408733\n"
     )
 
 
@@ -301,7 +302,8 @@ def test_letter_curve_past_its_guard_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "curve", "--kind", "letter", "--n-max", "100000000")
     assert code == 3
     assert out == ""
-    assert "10**6" in err
+    assert err.startswith("error: letter_density_curve is limited to 1000000 samples (")
+    assert err.endswith("; this input needs 100000000\n")
 
 
 def test_palindromes_report(capsys):
@@ -323,7 +325,10 @@ def test_palindromes_past_the_sp_guard_builds_no_factors(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "palindromes", "--pattern", "a" * 10001)
     assert code == 3
     assert out == ""
-    assert err == "error: sp_count is limited to |w| <= 10000\n"
+    assert err == (
+        "error: sp_count is limited to 10000 symbols (8-14 s and 7-10 MB on random words at the limit); "
+        "this input needs 10001\n"
+    )
 
 
 def test_palindromes_density_table(capsys):

@@ -534,9 +534,10 @@ def test_sample_counts_match_oracle():
 def test_letter_density_curve_guard():
     with pytest.raises(ValueError, match="n_max must be positive"):
         letter_density_curve("0", 0)
-    with pytest.raises(ValueError, match=r"at most 10\*\*6"):
+    refusal = r"^letter_density_curve is limited to 1000000 samples \(.* at the limit\); this input needs "
+    with pytest.raises(ValueError, match=refusal + "1000001$"):
         letter_density_curve("0", 10**6 + 1)
-    with pytest.raises(ValueError, match=r"at most 10\*\*6"):
+    with pytest.raises(ValueError, match=refusal + "100000000$"):
         letter_density_curve("1", 10**8)
 
 

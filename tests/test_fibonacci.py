@@ -14,7 +14,6 @@ from fibword.fibonacci import (
     PHI,
     PREFIX_CACHE_SYMBOLS,
     REFERENCE_SEEDS,
-    SIZE_GUARD,
     FibSeeds,
     fib,
     fib_binet,
@@ -25,7 +24,9 @@ from fibword.fibonacci import (
     k_fib_ratio,
     nth_symbol,
 )
-from fibword.words import AB, BINARY, Word
+from fibword.words import AB, BINARY, GUARDS, Word
+
+SIZE = GUARDS["generation"][0]
 
 
 def test_fib_seed_values():
@@ -145,26 +146,28 @@ def test_fib_word_guards():
     # The smallest refused indices: F_44 > 2**29 >= F_43, and under the
     # reference seeds |w_n| = F_(n+1).  Admitted indices near the guard
     # would allocate gigabytes, so none is called here.
-    assert fib(44) > SIZE_GUARD >= fib(43)
-    with pytest.raises(ValueError, match="guard"):
+    assert fib(44) > SIZE >= fib(43)
+    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* needs {fib(44)}$"):
         fib_word(44)
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* needs {fib(44)}$"):
         fib_word(43, REFERENCE_SEEDS)
     # The length loop stops at the guard and never reaches F_(10**9).
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* needs {fib(44)}$"):
         fib_word(10**9)
 
 
 def test_fib_word_admits_a_word_of_exactly_the_guard(monkeypatch):
     # |w_20| = F_20 under the default seeds and |w_19| = F_20 under the reference seeds
-    monkeypatch.setattr(fibonacci, "SIZE_GUARD", fib(20))
+    _, unit, cost = GUARDS["generation"]
+    monkeypatch.setitem(GUARDS, "generation", (fib(20), unit, cost))
     assert fib_word(20) == infinite_prefix(fib(20))
     assert len(fib_word(19, REFERENCE_SEEDS)) == fib(20)
-    monkeypatch.setattr(fibonacci, "SIZE_GUARD", fib(20) - 1)  # one symbol short of w_20
+    monkeypatch.setitem(GUARDS, "generation", (fib(20) - 1, unit, cost))  # one symbol short of w_20
     for n, seeds in ((20, fibonacci.DEFAULT_SEEDS), (19, REFERENCE_SEEDS), (21, fibonacci.DEFAULT_SEEDS)):
         with pytest.raises(ValueError) as refused:
             fib_word(n, seeds)
-        assert str(refused.value) == f"word would {words._SIZE_REFUSAL}"
+        assert str(refused.value) == (
+            f"generation is limited to {fib(20) - 1} symbols ({cost} at the limit); this input needs {fib(20)}")
 
 
 def test_fib_word_reference_seeds():
@@ -186,8 +189,8 @@ def test_infinite_prefix_values():
     assert infinite_prefix(10).text == "0100101001"
     with pytest.raises(ValueError):
         infinite_prefix(-1)
-    with pytest.raises(ValueError, match="symbol guard"):
-        infinite_prefix(SIZE_GUARD + 1)
+    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols"):
+        infinite_prefix(SIZE + 1)
 
 
 def test_infinite_prefix_equals_recurrence_word():
@@ -239,11 +242,11 @@ def _outcome(length):
 
 
 def test_infinite_prefix_refusals_and_odd_lengths_leave_a_warm_cache_alone(monkeypatch):
-    odd = (-1, SIZE_GUARD + 1, 2.5, True)
+    odd = (-1, SIZE + 1, 2.5, True)
     _empty_cache(monkeypatch)
     cold = [_outcome(length) for length in odd]  # only True, the last, keeps a prefix
     assert cold[0] == (ValueError, "prefix length must be nonnegative")
-    assert cold[1][0] is ValueError and "symbol guard" in cold[1][1]
+    assert cold[1][0] is ValueError and cold[1][1].startswith(f"generation is limited to {SIZE} symbols")
     assert cold[2][0] is TypeError and cold[3] == "0"
     _empty_cache(monkeypatch)
     infinite_prefix(1000)

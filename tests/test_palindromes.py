@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibword import oracle, palindromes
+from fibword import oracle
 from fibword.cli import main
 from fibword.fibonacci import fib, infinite_prefix
 from fibword.palindromes import (
@@ -31,7 +31,7 @@ from fibword.palindromes import (
     sp_count,
     sp_delta,
 )
-from fibword.words import AB, ABC, BINARY, Alphabet
+from fibword.words import AB, ABC, BINARY, GUARDS, Alphabet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -273,7 +273,7 @@ def test_pal_factors_match_oracle():
 def test_pal_factors_refuses_words_past_the_character_guard():
     # a^n has the n factors a..a^n, n(n+1)/2 characters in all.
     # The tree stops at the first symbol whose factors pass the limit: 14142 * 14143 / 2.
-    with pytest.raises(ValueError, match=r"limited to 100000000 .* first 14142 symbols total 100005153$"):
+    with pytest.raises(ValueError, match=r"^pal_factors is limited to 10{8} .* first 14142 symbols need 100005153$"):
         pal_factors(AB.word("a" * 15000))
 
 
@@ -282,13 +282,14 @@ def test_pal_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypatch, t
     # the running total at the end of text is the length of its distinct palindromic factors
     alphabet = Alphabet(sorted(set(text)))
     limit = sum(map(len, oracle.brute_pal_factor_set(alphabet.word(text))))
-    monkeypatch.setattr(palindromes, "PAL_FACTORS_GUARD", limit)
+    _, unit, cost = GUARDS["pal_factors"]
+    monkeypatch.setitem(GUARDS, "pal_factors", (limit, unit, cost))
     assert set(pal_factors(alphabet.word(text)).pal_factors) == oracle.brute_pal_factor_set(alphabet.word(text))
     longer = alphabet.word(text + text[-2])  # a palindrome ends at the new symbol: the total grows
     need = sum(map(len, oracle.brute_pal_factor_set(longer)))
     assert need > limit
-    message = (f"pal_factors is limited to {limit} characters of factors in all; "
-               f"the palindromic factors of this word's first {len(longer)} symbols total {need}")
+    message = (f"pal_factors is limited to {limit} {unit} ({cost} at the limit); "
+               f"its first {len(longer)} symbols need {need}")
     with pytest.raises(ValueError) as refused:
         pal_factors(longer)
     assert str(refused.value) == message

@@ -9,8 +9,6 @@ import pytest
 from fibword import oracle
 from fibword.cli import main
 from fibword.squarefree import (
-    ENUMERATION_GUARD,
-    REPETITION_GUARD,
     brandenburg_table,
     delta_decode,
     delta_encode,
@@ -20,7 +18,7 @@ from fibword.squarefree import (
     square_free_count,
     thue_morse_prefix,
 )
-from fibword.words import AB, ABC, BINARY, SIZE_GUARD, Alphabet, Word
+from fibword.words import AB, ABC, BINARY, GUARDS, Alphabet, Word
 
 #: Ternary counts s(1)..s(12), re-derived by the oracle below and pinned.
 TERNARY_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
@@ -78,12 +76,13 @@ def test_repetition_tests_match_oracle_scans():
 
 
 def test_repetition_tests_are_guarded_by_their_cost():
-    w = thue_morse_prefix(REPETITION_GUARD + 1)
+    limit = GUARDS["repetition_test"][0]
+    w = thue_morse_prefix(limit + 1)
     for test in (is_square_free, has_overlap):
-        with pytest.raises(ValueError, match=f"limited to \\|w\\| <= {REPETITION_GUARD} .* s at the limit"):
+        with pytest.raises(ValueError, match=f"^repetition_test is limited to {limit} symbols \\(.* s at the limit\\)"):
             test(w)
     # the benchmark's and the tests' largest inputs are admitted
-    assert REPETITION_GUARD >= 16000 and not has_overlap(thue_morse_prefix(16000))
+    assert limit >= 16000 and not has_overlap(thue_morse_prefix(16000))
 
 
 def test_one_pass_counts_match_a006156_to_twenty():
@@ -136,7 +135,7 @@ def test_enumeration_extension_consistency():
 def test_levels_are_the_square_free_extensions_up_to_the_guard(alphabet):
     # is_square_free is the bitmask test, which shares no code with the levels' rfind test
     size = len(alphabet)
-    levels = [[w.text for w in enumerate_square_free(size, n)] for n in range(ENUMERATION_GUARD + 1)]
+    levels = [[w.text for w in enumerate_square_free(size, n)] for n in range(GUARDS["enumeration"][0] + 1)]
     assert levels[0] == [""]
     for below, level in zip(levels, levels[1:]):
         assert all(u < v for u, v in zip(level, level[1:]))
@@ -189,8 +188,8 @@ def test_thue_morse_prefixes():
     assert thue_morse_prefix(0).text == ""
     assert thue_morse_prefix(4).text == "0110"
     assert thue_morse_prefix(8).text == "01101001"
-    with pytest.raises(ValueError, match="symbol guard"):
-        thue_morse_prefix(SIZE_GUARD + 1)
+    with pytest.raises(ValueError, match=f"^generation is limited to {GUARDS['generation'][0]} symbols"):
+        thue_morse_prefix(GUARDS["generation"][0] + 1)
     with pytest.raises(ValueError, match="nonnegative"):
         thue_morse_prefix(-1)
 

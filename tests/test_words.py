@@ -7,14 +7,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibword import oracle, words
-from fibword.fibonacci import FIBONACCI_MORPHISM, infinite_prefix
-from fibword.squarefree import DELTA_MORPHISM, THUE_MORSE_MORPHISM, thue_morse_prefix
+from fibword import oracle
+from fibword.catalan import catalan_table, fib_word_at_catalan, limit_function_g
+from fibword.density import letter_density_curve, ratio_curve
+from fibword.fibonacci import FIBONACCI_MORPHISM, FibSeeds, fib_word, infinite_prefix
+from fibword.fuzzy import fuzzy_fib_word
+from fibword.palindromes import pal_factors, sp_count
+from fibword.squarefree import (
+    DELTA_MORPHISM,
+    THUE_MORSE_MORPHISM,
+    brandenburg_table,
+    enumerate_square_free,
+    has_overlap,
+    is_square_free,
+    square_free_count,
+    thue_morse_prefix,
+)
 from fibword.words import (
     AB,
     ABC,
     BINARY,
-    SIZE_GUARD,
+    GUARDS,
     Alphabet,
     Morphism,
     Word,
@@ -137,17 +150,61 @@ def test_fixed_point_prefix():
     with pytest.raises(ValueError):
         DELTA_MORPHISM.fixed_point_prefix("a", 5)  # codomain is not the domain
     for morphism in (FIBONACCI_MORPHISM, THUE_MORSE_MORPHISM):  # refused before allocating
-        with pytest.raises(ValueError, match=f"exceed the {SIZE_GUARD}-symbol guard"):
-            morphism.fixed_point_prefix("0", SIZE_GUARD + 1)
+        with pytest.raises(ValueError, match=f"generation is limited to {GUARDS['generation'][0]} symbols"):
+            morphism.fixed_point_prefix("0", GUARDS["generation"][0] + 1)
 
 
 def test_fixed_point_prefix_admits_exactly_the_guard(monkeypatch):
-    monkeypatch.setattr(words, "SIZE_GUARD", 100)  # the limit is read at each call; the message keeps 2**29
+    _, unit, cost = GUARDS["generation"]
+    monkeypatch.setitem(GUARDS, "generation", (100, unit, cost))  # read at each call, and named in the message
     for morphism, word in ((FIBONACCI_MORPHISM, infinite_prefix), (THUE_MORSE_MORPHISM, thue_morse_prefix)):
         assert morphism.fixed_point_prefix("0", 100) == word(100).text
         with pytest.raises(ValueError) as refused:
             morphism.fixed_point_prefix("0", 101)
-        assert str(refused.value) == f"prefix would {words._SIZE_REFUSAL}"
+        assert str(refused.value) == f"generation is limited to 100 symbols ({cost} at the limit); this input needs 101"
+
+
+def _w3(zeros: int) -> FibSeeds:
+    # w_3 = w_2 w_1 = 0^zeros 1 under these seeds: one symbol longer than w_2
+    return FibSeeds(BINARY.word("1"), BINARY.word("0" * zeros))
+
+
+#: guard -> (the limit patched in, and per entry point: (function, args at the limit, args past it, need, read));
+#: past the limit is one symbol more, but for fib_word_at_catalan, whose next index C_5 is 42
+BOUNDARIES = {
+    "generation": (100, [(FIBONACCI_MORPHISM.fixed_point_prefix, ("0", 100), ("0", 101), 101, None),
+                         (thue_morse_prefix, (100,), (101,), 101, None),
+                         (fib_word, (3, _w3(99)), (3, _w3(100)), 101, None)]),
+    # a^64 is one 64-symbol block and one factor; a^65 adds the one-symbol block a
+    "distinct_factors": (65, [(distinct_factors, (AB.word("a" * 64), 1), (AB.word("a" * 65), 1), 66, 65)]),
+    # a^10 has the factors a..a^10, 55 characters; the b after them adds one
+    "pal_factors": (55, [(pal_factors, (AB.word("a" * 10),), (AB.word("a" * 10 + "b"),), 56, 11)]),
+    "sp_count": (10, [(sp_count, (AB.word("ab" * 5),), (AB.word("ab" * 5 + "a"),), 11, None)]),
+    "enumeration": (5, [(enumerate_square_free, (3, 5), (3, 6), 6, None),
+                        (square_free_count, (2, 5), (2, 6), 6, None),
+                        (brandenburg_table, (5,), (6,), 6, None)]),
+    "repetition_test": (50, [(is_square_free, (thue_morse_prefix(50),), (thue_morse_prefix(51),), 51, None),
+                             (has_overlap, (thue_morse_prefix(50),), (thue_morse_prefix(51),), 51, None)]),
+    "fuzzy_fib_word": (5, [(fuzzy_fib_word, (5, 0.5, 0.5), (6, 0.5, 0.5), 6, None)]),
+    "ratio_curve": (10, [(ratio_curve, (10,), (11,), 11, None)]),
+    "letter_density_curve": (10, [(letter_density_curve, ("0", 10), ("0", 11), 11, None)]),
+    "catalan_table": (5, [(catalan_table, (5,), (6,), 6, None), (limit_function_g, (5,), (6,), 6, None)]),
+    "fib_word_at_catalan": (14, [(fib_word_at_catalan, (4,), (5,), 42, None)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_every_guard_admits_its_limit_and_refuses_past_it_naming_the_patched_limit(monkeypatch, name):
+    assert BOUNDARIES.keys() == GUARDS.keys()
+    limit, entry_points = BOUNDARIES[name]
+    _, unit, cost = GUARDS[name]
+    monkeypatch.setitem(GUARDS, name, (limit, unit, cost))
+    for function, at, past, need, read in entry_points:
+        function(*at)
+        with pytest.raises(ValueError) as refused:
+            function(*past)
+        needs = "this input needs" if read is None else f"its first {read} symbols need"
+        assert str(refused.value) == f"{name} is limited to {limit} {unit} ({cost} at the limit); {needs} {need}"
 
 
 def test_fixed_point_prefix_matches_repeated_apply():
@@ -268,7 +325,8 @@ def test_distinct_factors_match_oracle_across_block_boundaries():
 def test_distinct_factors_refuses_words_past_the_character_guard():
     # 17,711 distinct factors of 2*10**4 symbols would be held; the count passes 10**8
     # at the block that ends at symbol 24,927, whatever the hash seed
-    with pytest.raises(ValueError, match=r"limited to 100000000 .* first 24927 symbols need 100104851$"):
+    refusal = r"^distinct_factors is limited to 10{8} .*; its first 24927 symbols need 100104851$"
+    with pytest.raises(ValueError, match=refusal):
         distinct_factors(infinite_prefix(4 * 10**4), 2 * 10**4)
 
 
@@ -282,13 +340,14 @@ def _held_by_distinct_factors(text: str, k: int) -> int:
 def test_distinct_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypatch, k):
     text = "".join(random.Random(k).choices("01", k=150))
     limit = _held_by_distinct_factors(text, k)
-    monkeypatch.setattr(words, "DISTINCT_FACTORS_GUARD", limit)
+    _, unit, cost = GUARDS["distinct_factors"]
+    monkeypatch.setitem(GUARDS, "distinct_factors", (limit, unit, cost))
     assert distinct_factors(BINARY.word(text), k) == sorted(oracle.brute_factor_set(BINARY.word(text), k))
     longer = text + "1"
     need = _held_by_distinct_factors(longer, k)
     assert need > limit
-    message = (f"distinct_factors is limited to {limit} characters of blocks and factors in all; "
-               f"this word's first {len(longer)} symbols need {need}")
+    message = (f"distinct_factors is limited to {limit} {unit} ({cost} at the limit); "
+               f"its first {len(longer)} symbols need {need}")
     with pytest.raises(ValueError) as refused:
         distinct_factors(BINARY.word(longer), k)
     assert str(refused.value) == message

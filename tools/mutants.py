@@ -63,22 +63,18 @@ MUTANTS = [
      "        if length > PREFIX_CACHE_SYMBOLS:",
      "        if length >= PREFIX_CACHE_SYMBOLS:",
      "a prefix of exactly PREFIX_CACHE_SYMBOLS symbols is kept"),
-    ("guard-fixed-point-prefix", "words.py",
-     "        if length > SIZE_GUARD:",
-     "        if length >= SIZE_GUARD:",
-     "a prefix of exactly SIZE_GUARD symbols is admitted"),
-    ("guard-fib-word", "fibonacci.py",
-     "        if size > SIZE_GUARD:",
-     "        if size >= SIZE_GUARD:",
-     "a word of exactly SIZE_GUARD symbols is admitted"),
-    ("guard-distinct-factors", "words.py",
-     "            if (held := block_chars + len(seen) * k) > DISTINCT_FACTORS_GUARD:",
-     "            if (held := block_chars + len(seen) * k) >= DISTINCT_FACTORS_GUARD:",
-     "a word whose running total equals DISTINCT_FACTORS_GUARD is admitted"),
-    ("guard-pal-factors", "palindromes.py",
-     "            if total > PAL_FACTORS_GUARD:",
-     "            if total >= PAL_FACTORS_GUARD:",
-     "a word whose factors total PAL_FACTORS_GUARD characters is admitted"),
+    ("admit-at-the-limit", "words.py",
+     "    if need > limit:",
+     "    if need >= limit:",
+     "every guard admits a need equal to its limit"),
+    ("distinct-factors-compare-one-late", "words.py",
+     "            if (held := block_chars + len(seen) * k) > limit:",
+     "            if (held := block_chars + len(seen) * k) > limit + 1:",
+     "distinct_factors stops at the block that takes its running total past the limit, even by one"),
+    ("pal-factors-compare-one-late", "palindromes.py",
+     "            if total > limit:  # every factor is built as a string: stop before any is",
+     "            if total > limit + 1:  # every factor is built as a string: stop before any is",
+     "the eertree stops at the symbol that takes its running total past the limit, even by one"),
     ("shift-and-63-symbols", "density.py",
      "    for j, c in enumerate(p[1:64], 1):",
      "    for j, c in enumerate(p[1:63], 1):",
