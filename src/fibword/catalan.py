@@ -41,7 +41,7 @@ def limit_function_g(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _admit("catalan_table", n)
+    _admit("limit_function_g", n)
     return 1 + Fraction(n + 1, math.comb(2 * n, n))
 
 

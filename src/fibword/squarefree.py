@@ -10,8 +10,6 @@ never asserted: the printed constants fail at small n (s(1) = 3 < 6.19).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from .words import AB, ABC, BINARY, Morphism, Word, _admit, _letter_masks, _Record, _unchecked_word
 
 #: Thue-Morse substitution; its fixed point from 0 is overlap-free.
@@ -22,6 +20,7 @@ DELTA_MORPHISM = Morphism(ABC, AB, {"a": "abb", "b": "ab", "c": "a"})
 _DELTA_RUNS = {img.text[1:]: c for c, img in DELTA_MORPHISM.images.items()}  # b's after the a
 
 _SQUARE_FREE_ALPHABETS = {2: AB, 3: ABC}
+_levels = {2: (("",),), 3: (("",),)}  # per alphabet size, the sorted levels 0.. built so far
 
 
 def is_square_free(w: Word) -> bool:
@@ -29,9 +28,11 @@ def is_square_free(w: Word) -> bool:
     return not _has_periodic_factor(w, 0)
 
 
-def _square_free_levels(alphabet_size: int, n: int) -> Iterator[list[str]]:
+def _square_free_levels(alphabet_size: int, n: int) -> tuple[tuple[str, ...], ...]:
     """The sorted square-free words of each length 0..n over a 2- or 3-letter
-    alphabet, one list per length.  Each word of a level is extended by each
+    alphabet, one tuple per length, read from the levels this process has
+    built for that alphabet; only the lengths past them are built, and the
+    guard is checked on every call.  Each word of a level is extended by each
     letter c in alphabet order, so every level comes out sorted.  The word p is
     square-free, so only a square xx ending at the new c can appear, and the
     first x ends in c too: only the halves L - q with p[q] == c are compared,
@@ -42,32 +43,31 @@ def _square_free_levels(alphabet_size: int, n: int) -> Iterator[list[str]]:
     if n < 0:
         raise ValueError("length must be nonnegative")
     _admit("enumeration", n)  # s(n) grows ~1.3x per letter
-    level = [""]
-    yield level
-    for length in range(n):
-        lo, grown = length // 2, []  # a half is at most ceil(L/2) long: q >= L // 2
-        for p in level:
-            for c in alphabet.symbols:
-                w, q = p + c, p.rfind(c, lo)
-                while q >= 0 and not w.endswith(w[2 * q - length + 1 : q + 1]):
-                    q = p.rfind(c, lo, q)
-                if q < 0:
-                    grown.append(w)
-        level = grown
-        yield level
+    if n >= len(levels := _levels[alphabet_size]):
+        for length in range(len(levels) - 1, n):
+            lo, grown = length // 2, []  # a half is at most ceil(L/2) long: q >= L // 2
+            for p in levels[-1]:
+                for c in alphabet.symbols:
+                    w, q = p + c, p.rfind(c, lo)
+                    while q >= 0 and not w.endswith(w[2 * q - length + 1 : q + 1]):
+                        q = p.rfind(c, lo, q)
+                    if q < 0:
+                        grown.append(w)
+            levels += (tuple(grown),)
+        _levels[alphabet_size] = levels  # published whole, once: racing threads may build a level twice
+    return levels[: n + 1]
 
 
 def enumerate_square_free(alphabet_size: int, n: int) -> list[Word]:
     """All square-free words of exactly length n over a 2- or 3-letter
     alphabet, in lexicographic order."""
-    *_, texts = _square_free_levels(alphabet_size, n)
+    texts = _square_free_levels(alphabet_size, n)[n]
     return [_unchecked_word(_SQUARE_FREE_ALPHABETS[alphabet_size], t) for t in texts]
 
 
 def square_free_count(alphabet_size: int, n: int) -> int:
     """s(n): the number of square-free words of length n."""
-    *_, texts = _square_free_levels(alphabet_size, n)
-    return len(texts)
+    return len(_square_free_levels(alphabet_size, n)[n])
 
 
 class BoundRow(_Record):
@@ -84,16 +84,13 @@ class BoundRow(_Record):
 
 def brandenburg_table(n_max: int) -> list[BoundRow]:
     """Rows (n, s(n), 6*1.032**n, 6*1.379**n, flags) for ternary words,
-    n = 1..n_max.  Reports, never asserts: small-n rows fail the printed
-    lower bound."""
+    n = 1..n_max, each s(n) read off the kept levels.  Reports, never
+    asserts: small-n rows fail the printed lower bound."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    counts = [len(level) for level in _square_free_levels(3, n_max)]  # s(0..n_max) in one pass
     rows = []
-    for n in range(1, n_max + 1):
-        s_n = counts[n]
-        lower = 6 * 1.032**n
-        upper = 6 * 1.379**n
+    for n, level in enumerate(_square_free_levels(3, n_max)[1:], 1):
+        s_n, lower, upper = len(level), 6 * 1.032**n, 6 * 1.379**n
         rows.append(BoundRow(n, s_n, lower, upper, lower <= s_n, s_n <= upper))
     return rows
 

@@ -23,7 +23,8 @@ GUARDS = {
     "fuzzy_fib_word": (30, "steps", "3.7 s and 229 MB as JSON"),
     "ratio_curve": (10**4, "samples", "7.5 ms and 6.4 MB"),
     "letter_density_curve": (10**6, "samples", "~88 bytes each: 216-366 MB and 2.9-6.7 s through the CLI"),
-    "catalan_table": (200, "rows", "2.1 ms"),  # and limit_function_g
+    "catalan_table": (200, "rows", "2.1 ms"),
+    "limit_function_g": (10**5, "for the index n", "0.42-0.46 s and under 1 MB"),  # math.comb(2n, n) is most of it
     "fib_word_at_catalan": (30, "for the word index C_n", "0.7-1.1 ms and 1.6 MB"),
 }
 

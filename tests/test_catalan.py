@@ -15,6 +15,7 @@ from fibword.catalan import (
 )
 from fibword.cli import main
 from fibword.fibonacci import PHI, fib
+from fibword.words import GUARDS
 
 
 def test_catalan_values():
@@ -44,8 +45,11 @@ def test_limit_function_g_values():
     assert limit_function_g(4) == Fraction(15, 14)
     with pytest.raises(ValueError):
         limit_function_g(0)
-    with pytest.raises(ValueError):
-        limit_function_g(201)
+    # its own guard, not catalan_table's 200 rows: one value at 201 is cheap
+    assert limit_function_g(201) - 1 == Fraction(202, math.comb(402, 201))
+    limit = GUARDS["limit_function_g"][0]
+    with pytest.raises(ValueError, match=f"^limit_function_g is limited to {limit} for the index n "):
+        limit_function_g(limit + 1)
 
 
 def test_limit_function_g_identity_and_monotonicity():

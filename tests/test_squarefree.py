@@ -1,12 +1,14 @@
 """Square detection, square-free enumeration, Thue-Morse, the codec."""
 
 import random
+import sys
+import threading
 from itertools import product
 
 import numpy as np
 import pytest
 
-from fibword import oracle
+from fibword import oracle, squarefree
 from fibword.cli import main
 from fibword.squarefree import (
     brandenburg_table,
@@ -22,6 +24,9 @@ from fibword.words import AB, ABC, BINARY, GUARDS, Alphabet, Word
 
 #: Ternary counts s(1)..s(12), re-derived by the oracle below and pinned.
 TERNARY_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
+
+#: Ternary counts s(1)..s(20) (OEIS A006156).
+A006156 = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388]
 
 
 def test_is_square_free_examples():
@@ -86,9 +91,7 @@ def test_repetition_tests_are_guarded_by_their_cost():
 
 
 def test_one_pass_counts_match_a006156_to_twenty():
-    # s(1..20) for ternary square-free words (OEIS A006156)
-    expected = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392, 1830, 2388]
-    assert [r.s_n for r in brandenburg_table(20)] == expected
+    assert [r.s_n for r in brandenburg_table(20)] == A006156
     assert [square_free_count(3, n) for n in (0, 19, 20)] == [1, 1830, 2388]
 
 
@@ -141,6 +144,90 @@ def test_levels_are_the_square_free_extensions_up_to_the_guard(alphabet):
         assert all(u < v for u, v in zip(level, level[1:]))
         extended = [p + c for p in below for c in alphabet.symbols]
         assert level == [t for t in extended if is_square_free(Word(alphabet, t))]
+
+
+@pytest.fixture
+def cold_levels(monkeypatch):
+    """An empty table of square-free levels for one test; the kept one is put back after it."""
+    levels = {size: (("",),) for size in (2, 3)}
+    monkeypatch.setattr(squarefree, "_levels", levels)
+    return levels
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_levels_grow_by_the_missing_lengths_only(cold_levels, size):
+    enumerate_square_free(size, 18)
+    before = cold_levels[size]
+    assert len(before) == 19
+    square_free_count(size, 20)
+    after = cold_levels[size]
+    assert len(after) - len(before) == 2
+    assert all(a is b for a, b in zip(after, before))
+    counts = [square_free_count(size, n) for n in range(1, 21)]
+    assert counts == (A006156 if size == 3 else [2, 2, 2] + [0] * 17)
+    assert cold_levels[size] is after  # warm calls build nothing
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_cold_and_warm_enumerations_match_the_oracle(cold_levels, size):
+    for n in range(16):
+        cold_levels[size] = (("",),)
+        expected = oracle.brute_square_free_words(size, n)
+        assert enumerate_square_free(size, n) == expected  # cold: levels 1..n built
+        assert enumerate_square_free(size, n) == expected  # warm
+    for n in range(16):
+        assert enumerate_square_free(size, n) == oracle.brute_square_free_words(size, n)  # read below the table's end
+
+
+def test_returned_lists_are_fresh(cold_levels):
+    words, rows = enumerate_square_free(3, 10), brandenburg_table(10)
+    expected_words, expected_rows = list(words), list(rows)
+    words.clear()
+    rows.clear()
+    assert enumerate_square_free(3, 10) == expected_words
+    assert brandenburg_table(10) == expected_rows
+
+
+def test_racing_threads_read_whole_levels(cold_levels):
+    expected = {(size, n): [w.text for w in enumerate_square_free(size, n)] for size in (2, 3) for n in range(21)}
+    wrong = []
+
+    def read(size: int, lengths: list[int]) -> None:
+        for n in lengths:
+            if [w.text for w in enumerate_square_free(size, n)] != expected[size, n]:
+                wrong.append((size, n))
+
+    rng = random.Random(34)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            cold_levels.update({size: (("",),) for size in (2, 3)})
+            threads = [threading.Thread(target=read, args=(k % 2 + 2, rng.sample(range(21), 21))) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert all(len(levels[n]) == len(expected[size, n]) for size, levels in cold_levels.items() for n in range(len(levels)))
+
+
+def test_the_guard_is_checked_on_a_warm_table(cold_levels, monkeypatch):
+    brandenburg_table(20)
+    square_free_count(2, 20)
+    assert [len(levels) for levels in cold_levels.values()] == [21, 21]
+    _, unit, cost = GUARDS["enumeration"]
+    monkeypatch.setitem(GUARDS, "enumeration", (5, unit, cost))
+    for function, past in ((enumerate_square_free, (3, 6)), (square_free_count, (2, 6)), (brandenburg_table, (6,))):
+        with pytest.raises(ValueError) as refused:
+            function(*past)
+        assert str(refused.value) == f"enumeration is limited to 5 {unit} ({cost} at the limit); this input needs 6"
+    assert len(enumerate_square_free(3, 5)) == 30
+    assert square_free_count(2, 5) == 0
+    assert [r.s_n for r in brandenburg_table(5)] == A006156[:5]
 
 
 def test_count_growth_is_ratio_bounded():

@@ -188,7 +188,8 @@ BOUNDARIES = {
     "fuzzy_fib_word": (5, [(fuzzy_fib_word, (5, 0.5, 0.5), (6, 0.5, 0.5), 6, None)]),
     "ratio_curve": (10, [(ratio_curve, (10,), (11,), 11, None)]),
     "letter_density_curve": (10, [(letter_density_curve, ("0", 10), ("0", 11), 11, None)]),
-    "catalan_table": (5, [(catalan_table, (5,), (6,), 6, None), (limit_function_g, (5,), (6,), 6, None)]),
+    "catalan_table": (5, [(catalan_table, (5,), (6,), 6, None)]),
+    "limit_function_g": (5, [(limit_function_g, (5,), (6,), 6, None)]),
     "fib_word_at_catalan": (14, [(fib_word_at_catalan, (4,), (5,), 42, None)]),
 }
 

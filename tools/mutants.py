@@ -79,6 +79,18 @@ MUTANTS = [
      "    for j, c in enumerate(p[1:64], 1):",
      "    for j, c in enumerate(p[1:63], 1):",
      "the masks match the first 64 symbols; a 64-symbol pattern is counted by bits alone"),
+    ("levels-one-short", "squarefree.py",
+     "        for length in range(len(levels) - 1, n):",
+     "        for length in range(len(levels) - 1, n - 1):",
+     "a call for length n extends the kept levels through level n"),
+    ("guard-only-on-growth", "squarefree.py",
+     '    _admit("enumeration", n)  # s(n) grows ~1.3x per letter',
+     '    _admit("enumeration", n) if n >= len(_levels[alphabet_size]) else None',
+     "the enumeration guard holds on every call, also one the kept levels answer"),
+    ("table-not-published", "squarefree.py",
+     "        _levels[alphabet_size] = levels  # published whole, once: racing threads may build a level twice",
+     "        pass",
+     "the levels built are kept, so each is built once per process"),
     ("factor-block-one-short", "words.py",
      "        if (block := text[s : s + k + 63]) not in blocks:",
      "        if (block := text[s : s + k + 62]) not in blocks:",
