@@ -10,14 +10,12 @@ with exact big integers over the intervals reachable from the whole word.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, product, repeat
+from itertools import chain, product, repeat
 from operator import add, sub
 
 from .density import DensitySample, count_occurrences
 from .fibonacci import infinite_prefix
 from .words import BINARY, GUARDS, Word, _admit, _Record, _unchecked_word
-
-_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary string's digits as bytes 0 and 1, for compress
 
 
 def is_palindrome(w: Word) -> bool:
@@ -49,23 +47,24 @@ def _pal_factor_strings(text: str) -> list[str]:
 
     Node 0 is the imaginary root (length -1) and node 1 the empty root; each
     other node is one palindrome, kept as its length, suffix link and start
-    in three flat lists.  Each edge v -> c.v.c is one entry of a dict keyed
-    by v << 21 | ord(c).
+    in three flat lists; each letter c has one dict of edges v -> c.v.c.  A
+    walk reads the letters from a list ending in None, which a palindrome
+    that starts the text meets at -1, so only the imaginary root ends it.
     """
     lens, links, starts = [-1, 0], [0, 0], [0, 0]
-    edges: dict[int, int] = {}
+    edges, sym = {c: {} for c in set(text)}, [*text, None]
     last, total, limit = 1, 0, GUARDS["pal_factors"][0]  # the longest palindromic suffix read; lengths' sum
     for pos, ch in enumerate(text):
         v = last
-        while (i := pos - lens[v] - 1) < 0 or text[i] != ch:
+        while sym[i := pos - lens[v] - 1] != ch:
             v = links[v]
-        last = edges.get(key := v << 21 | ord(ch))
-        if last is None:
-            u = links[v]  # shorter than v, so its index below never drops under 0
-            while text[pos - lens[u] - 1] != ch:
+        out = edges[ch]
+        if (last := out.get(v)) is None:
+            u = links[v]  # shorter than v, so its index below never drops under -1
+            while sym[pos - lens[u] - 1] != ch:
                 u = links[u]
-            links.append(edges[u << 21 | ord(ch)] if v else 1)  # a letter links to the empty root
-            last = edges[key] = len(lens)
+            links.append(out[u] if v else 1)  # a letter links to the empty root
+            last = out[v] = len(lens)
             lens.append(lens[v] + 2)
             starts.append(i)
             total += lens[-1]
@@ -88,54 +87,63 @@ def sp_count(w: Word) -> int:
 
     A nonempty palindrome in s[i:j] is c, cc or c.p.c, c its first letter, so
     SP(i, j) sums, over the letters c of s[i:j], 1 + [f < l](1 + SP(f+1, l)),
-    f the first c at or after i and l the last c before j.  Discovery walks left
-    ends up, keeping each one's right ends j as bits n - j of an int, so the step
-    from j to l is one carry.  Evaluation walks down, keeping per letter only the
-    values of left end f+1, which no left end at or before the previous c reads.
+    f the first c at or after i and l the last c before j.  Row i >= 1's right ends
+    are positions of d = s[i-1], kept as the hull of their d-ranks; the walk up
+    widens each kid's hull from the prefix counts cnt[c].  The walk down, passing a
+    c at f, writes 1 (c alone) and row f+1's values into c's buffer at rank + 1.  A
+    row reads d's buffer as a slice and another c's at cnt[c][j], where a slot no c
+    in s[i:j] reaches is still 0; letters once in s[i:top] are bisected.
     """
     s = w.text
     n = len(s)
-    _admit("sp_count", n)  # the cost is the reachable intervals times the letters looked up in each
+    _admit("sp_count", n)  # the cost is the hull cells times the letters looked up in each
     nxt, head = [n] * (n + 1), {}  # nxt[p]: the next occurrence of s[p]; head[c]: the first c
     for p in range(n - 1, -1, -1):
         nxt[p], head[s[p]] = head.get(s[p], n), p
-    last, at = {}, {}  # last[c][j]: the last c before j; at[c]: bit n - p per c at p
+    pos, cnt, bufs = {}, {}, {}  # per letter that occurs twice: its positions, cnt[c][p] = c's in s[:p]
+    lo, hi = [n] * (n + 1), [-1] * (n + 1)  # row i's hull, as ranks of s[i-1]; hi < 0: not reached
     for c, f in head.items():
         cs = [f]
-        while cs[-1] < n:
-            cs.append(nxt[cs[-1]])
-        if len(cs) > 2:  # only a letter that occurs twice is ever looked up
-            digits = bytearray(b"0" * (n + 1))
-            for p in cs[:-1]:
-                digits[p] = 49  # "1"
-            at[c] = int(digits, 2)
-            last[c] = list(chain(repeat(-1, f + 1), *map(repeat, cs, map(sub, cs[1:], cs))))
-    full, ends = (2 << n) - 1, {0: 1}  # ends: left end i -> its right ends j, bit n - j each
-    for i in range(n):  # head[c]: the first c at or after i, n past the last c
-        if mask := ends.get(i):
-            top = n + 1 - (mask & -mask).bit_length()  # the largest right end
+        while (p := nxt[cs[-1]]) < n:
+            cs.append(p)
+        if len(cs) > 1:
+            pos[c], bufs[c] = cs, [0] * (len(cs) + 1)
+            lo[f + 1] = hi[f + 1] = len(cs) - 1  # row 0's one right end, n, reads row f+1 at c's last rank
+            counts = map(repeat, range(1, len(cs)), map(sub, cs[1:], cs))
+            cnt[c] = list(chain(repeat(0, f + 1), *counts, repeat(len(cs), n - cs[-1])))
+    for i in range(1, n):  # head[c]: the first c at or after i, n past the last c
+        head[s[i - 1]] = nxt[i - 1]
+        if (b := hi[i]) >= 0:
+            js, a = pos[s[i - 1]], lo[i]
+            low, top = js[a], js[b]  # the row's lowest and largest right ends
             for c, f in head.items():
-                if (g := nxt[f]) < top:  # c occurs twice in s[i:top]
-                    x = (mask & (1 << n - g) - 1) << 1  # right ends past g, at bit n - j + 1
-                    gap = full ^ at[c]  # a carry from x's lowest bit in a gap lands on the c above
-                    ends[f + 1] = ends.get(f + 1, 0) | (gap + (x & gap) | x) & at[c]
-        head[s[i]] = nxt[i]
-    positions, kids, row, vals = list(range(n + 1)), {}, {n - 1: 1}, [2]
-    for i in range(n - 1, -1, -1):  # kids[c]: f, the first c at or after i, and left end f+1's values
-        kids[s[i]], row = (i, row), {i - 1: 1}  # this frees the values the next s[i] gave
-        if mask := ends.pop(i, 0):  # row: j -> 2 + SP(i, j), and 1 at l = f: the letter alone
-            bits = format(mask, "b")
-            js = list(compress(positions[n + 1 - len(bits) :], bits.encode().translate(_BITS)))
+                if (g := nxt[f]) < top:  # c occurs twice in s[i:top]: right ends past g read row f+1
+                    counted = cnt[c]
+                    if (x := counted[low if low > g else g + 1] - 1) < lo[f + 1]:
+                        lo[f + 1] = x
+                    if (y := counted[top] - 1) > hi[f + 1]:
+                        hi[f + 1] = y
+    kids, vals = {}, []  # kids[c]: the first c at or after i; vals: row i+1's values, 2 + SP(i+1, j)
+    for i in range(n - 1, -1, -1):
+        if (buf := bufs.get(c := s[i])) is not None:  # rows from i down read row i+1, not the next c's
+            buf[cnt[c][i] + 1] = 1
+            if hi[i + 1] >= 0:
+                buf[lo[i + 1] + 1 : hi[i + 1] + 2] = vals
+        kids[c] = i
+        if (b := hi[i]) >= 0:
+            d, a = s[i - 1], lo[i]
+            js = pos[d][a : b + 1]
             vals, once, top = [2] * len(js), [], js[-1]
-            for c, (f, kid) in kids.items():
-                if nxt[f] < top:  # c occurs twice in s[i:top]: 2 + SP(f+1, l) past its second
-                    vals = list(map(add, vals, map(kid.get, map(last[c].__getitem__, js), repeat(0))))
+            for c, f in kids.items():
+                if nxt[f] < top:  # c occurs twice in s[i:top]: its buffer at the last c before j
+                    buf = bufs[c]
+                    term = buf[a : b + 1] if c == d else map(buf.__getitem__, map(cnt[c].__getitem__, js))
+                    vals = list(map(add, vals, term))
                 elif f < top:  # c occurs once in s[i:top]: it adds 1 past f
                     once.append(f)
             if once:
                 vals = list(map(add, vals, map(bisect_left, repeat(sorted(once)), js)))
-            row.update(zip(js, vals))
-    return vals[-1] - 2
+    return sum(buf[-1] for buf in bufs.values()) + len(head) - len(bufs)
 
 
 def sp_delta(w: Word, symbol: str) -> int:

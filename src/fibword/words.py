@@ -16,8 +16,8 @@ from collections.abc import Iterable, Iterator, Mapping
 GUARDS = {
     "generation": (2**29, "symbols", "1.55-1.69 GB and 4-14 s"),  # fixed_point_prefix, fib_word
     "distinct_factors": (10**8, "characters of blocks and factors", "~96 MB"),  # counted in text order
-    "pal_factors": (10**8, "characters of factors", "~210 MB and ~0.35 s"),  # the eertree's running total
-    "sp_count": (10**4, "symbols", "8-14 s and 7-10 MB on random words"),
+    "pal_factors": (10**8, "characters of factors", "~113 MB and ~0.1 s"),  # the eertree's running total
+    "sp_count": (10**4, "symbols", "1.2-5.5 s and 3-4 MB on random words"),
     "enumeration": (20, "symbols", "20-35 ms and under 1 MB"),  # square-free words and their counts
     "repetition_test": (2**16, "symbols", "0.6-0.9 s"),  # squares and overlaps, ~|w|**2/64 word operations
     "fuzzy_fib_word": (30, "steps", "3.7 s and 229 MB as JSON"),

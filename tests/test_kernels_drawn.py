@@ -82,6 +82,8 @@ def test_distinct_factors_match_the_brute_factor_set(w, k):
 @example(Word(UNARY, "a" * 400))
 @example(Word(Alphabet("zyx"), "xyzzyx" * 50))
 @example(Word(Alphabet("10"), FIB[:300]))
+@example(Word(Alphabet("一二"), "一二二一二一一二二一"))
+@example(Word(Alphabet("abc"), "abacabab"))  # the prefix abacaba is a palindrome: the last b's walk reads the sentinel
 def test_pal_factors_match_the_brute_pal_factor_set(w):
     assert list(pal_factors(w).pal_factors) == sorted(oracle.brute_pal_factor_set(w))
 

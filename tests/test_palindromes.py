@@ -16,7 +16,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibword import oracle
@@ -231,6 +231,32 @@ def test_sp_count_and_delta_match_reference_on_drawn_words(drawn):
     assert sp_count(w) == _reference_sp(text)
     for c in letters:
         assert sp_delta(w, c) == _reference_sp(text + c) - _reference_sp(text)
+
+
+SP_LETTERS = "abcdefghijklmnopqrstuvwxyz" + "".join(map(chr, range(0x1F600, 0x1F604)))  # 30, 4 outside the BMP
+
+
+@st.composite
+def sp_alphabets_and_texts(draw):
+    """One to 30 letters, and a text of up to 80 symbols over them: random, or a drawn period repeated."""
+    letters = "".join(draw(st.lists(st.sampled_from(SP_LETTERS), min_size=1, max_size=30, unique=True)))
+    if draw(st.booleans()):
+        return letters, draw(st.text(letters, max_size=80))
+    return letters, (draw(st.text(letters, min_size=1, max_size=8)) * 80)[: draw(st.integers(0, 80))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sp_alphabets_and_texts())
+@example(("abcdefghijklmnopqrstuvwxyz", "qwertyuiopasdfghjklzxcvbnm"))  # every letter distinct: only the bisect
+@example(("ab\U0001F600\U0001F601", "\U0001F601ba\U0001F600"))  # the same, two outside the BMP
+@example(("ab\U0001F600", "\U0001F600" + "abba" * 10))  # a letter once at the start among repeated letters
+@example(("ab\U0001F600", "ab" * 20 + "\U0001F600"))  # and once at the end
+@example(("abcd", "c" + "abba" * 10 + "d"))  # once at both ends
+@example(("a", "a" * 80))  # one buffer, read as slices only
+@example(("ab", "ab" * 40))
+def test_sp_count_matches_reference_on_drawn_alphabets(drawn):
+    letters, text = drawn
+    assert sp_count(Alphabet(letters).word(text)) == _reference_sp(text)
 
 
 @given(ab_texts)

@@ -11,11 +11,13 @@ runs there:
 
 The unmutated tree runs first, and every run is one at a time, so the suite's
 wall-clock limits meet the same load on both sides.  A mutant is killed when a test
-that passed on the unmutated tree fails on the mutant and fails again when the tests
-that newly failed run a second time; the by-design failure is in both sets, and no
-test is deselected.  A mutant whose old line is missing or not unique is reported as
-not applied, and one whose run passes the time limit counts as killed.  This script
-sits outside tier-1's testpaths, so the suite never runs it.
+that passed on the unmutated tree fails on the mutant; the by-design failure is in
+both sets, and no test is deselected.  The tests that newly failed then run a second
+time, by themselves: one that passes there failed only through state that earlier
+tests left (a warm cache, say), and it is listed as failing after earlier tests.  A
+mutant whose old line is missing or not unique is reported as not applied, and one
+whose run passes the time limit counts as killed.  This script sits outside tier-1's
+testpaths, so the suite never runs it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,22 @@ MUTANTS = [
      "            if total > limit:  # every factor is built as a string: stop before any is",
      "            if total > limit + 1:  # every factor is built as a string: stop before any is",
      "the eertree stops at the symbol that takes its running total past the limit, even by one"),
+    ("sp-buffer-one-rank-early", "palindromes.py",
+     "                    term = buf[a : b + 1] if c == d else map(buf.__getitem__, map(cnt[c].__getitem__, js))",
+     "                    term = buf[a - 1 : b] if c == d else map(buf.__getitem__, map(cnt[c].__getitem__, js))",
+     "right end j reads d's buffer at the d before j, slot rank(j), so a row's ranks a..b read slots a..b"),
+    ("sp-letter-alone-unwritten", "palindromes.py",
+     "            buf[cnt[c][i] + 1] = 1",
+     "            pass",
+     "passing a c at f writes the 1 that c alone adds to every right end past f"),
+    ("sp-hull-high-assigned", "palindromes.py",
+     "                    if (y := counted[top] - 1) > hi[f + 1]:",
+     "                    if (y := counted[top] - 1) >= 0:",
+     "a kid's hull only widens: a later parent with a lower top must not cut it"),
+    ("eertree-sentinel-dropped", "palindromes.py",
+     "    edges, sym = {c: {} for c in set(text)}, [*text, None]",
+     "    edges, sym = {c: {} for c in set(text)}, [*text]",
+     "a palindrome that starts the text reads the None at index -1, not the text's last letter"),
     ("shift-and-63-symbols", "density.py",
      "    for j, c in enumerate(p[1:64], 1):",
      "    for j, c in enumerate(p[1:63], 1):",
@@ -130,27 +148,27 @@ def _tier_1(tree: Path, tests: list[str]) -> tuple[set[str], str] | None:
     return failed, lines[-1] if lines else f"exit {run.returncode}, no output"
 
 
-def _run(mutant: tuple | None, base: set[str]) -> tuple[str, set[str], str, float]:
-    """Tier-1 on a copy of the tree with mutant applied: (status, the failing test ids, pytest's last line,
-    seconds).  The status is "ran", "not applied" or "timed out"; a mutant's tests that fail outside base
-    run once more, and the ids kept are base's failures and those that failed twice."""
+def _run(mutant: tuple | None, base: set[str]) -> tuple[str, set[str], set[str], str, float]:
+    """Tier-1 on a copy of the tree with mutant applied: (status, the failing test ids, those of them
+    that pass when rerun alone, pytest's last line, seconds).  The status is "ran", "not applied" or
+    "timed out"; a mutant's tests that fail outside base run once more, by themselves."""
     with tempfile.TemporaryDirectory(prefix="fibword-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
         if mutant is not None and not _apply(tree, *mutant[1:4]):
-            return "not applied", set(), "old line missing or not unique", 0.0
+            return "not applied", set(), set(), "old line missing or not unique", 0.0
         start = time.perf_counter()
         if (result := _tier_1(tree, [])) is None:
-            return "timed out", set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
+            return "timed out", set(), set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
         failed, summary = result
-        if mutant is not None and (newly := sorted(failed - base)):
-            again = _tier_1(tree, newly)
-            failed = (failed & base) | (set(newly) if again is None else again[0] & set(newly))
-        return "ran", failed, summary, time.perf_counter() - start
+        alone = set()
+        if mutant is not None and (newly := sorted(failed - base)) and (again := _tier_1(tree, newly)):
+            alone = set(newly) - again[0]
+        return "ran", failed, alone, summary, time.perf_counter() - start
 
 
 def main() -> int:
-    status, base, summary, seconds = _run(None, set())
+    status, base, _, summary, seconds = _run(None, set())
     if status != "ran":
         print(f"error: the unmutated tree gave no result ({summary})", file=sys.stderr)
         return 2
@@ -158,7 +176,7 @@ def main() -> int:
     killed = 0
     for mutant in MUTANTS:
         name, file, _, _, why = mutant
-        status, failed, summary, seconds = _run(mutant, base)
+        status, failed, alone, summary, seconds = _run(mutant, base)
         newly = sorted(failed - base)
         if status == "not applied":
             verdict = status
@@ -168,7 +186,7 @@ def main() -> int:
             verdict = "SURVIVED"
         print(f"{verdict:11s} {name} ({file}): {summary} in {seconds:.0f} s; {why}")
         for test in newly[:5]:
-            print(f"            fails {test}")
+            print(f"            fails {test}" + (" after earlier tests (passes alone)" if test in alone else ""))
         if len(newly) > 5:
             print(f"            and {len(newly) - 5} more")
     print(f"{killed} of {len(MUTANTS)} mutants killed")
