@@ -120,16 +120,17 @@ REFERENCE_SEEDS = FibSeeds(Word(BINARY, "1"), Word(BINARY, "10"))
 def fib_word(n: int, seeds: FibSeeds = DEFAULT_SEEDS) -> Word:
     """n-th word of the recurrence w_n = w_{n-1} w_{n-2} from the seeds.
 
-    Under the default seeds |w_n| = F_n.  Growth past the "generation" guard
-    is refused before any allocation happens.  w_n = h(phi^(n-2)(0)) for n >= 2,
+    Under the default seeds |w_n| = F_n.  A length past the "generation" guard is refused
+    before any allocation happens (by its digit count past w_100).  w_n = h(phi^(n-2)(0)) for n >= 2,
     where phi = FIBONACCI_MORPHISM and h maps 1, 0 to the first, second seed.
     """
     if n < 1:
         raise ValueError("word index starts at 1")
     size, after = len(seeds.first), len(seeds.second)  # |w_1|, |w_2|
-    for _ in range(n - 1):
+    for _ in range(min(n, 100) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits
         size, after = after, size + after
-        _admit("generation", size)
+    digits = int(math.log10(size) + (n - 100) * math.log10(PHI)) + 1  # past w_100; the float is off by ~n * 1e-16
+    _admit("generation", size, shown=f"a length of {digits} digits" if n > 100 else None)
     if n == 1:
         return seeds.first
     images = {"0": seeds.second.text, "1": seeds.first.text}

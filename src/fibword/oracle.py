@@ -11,32 +11,46 @@ from __future__ import annotations
 from .words import AB, ABC, Word
 
 SP_GUARD = 20
+SP_WORDS_GUARD = 2**15  # brute_sp_counts' words, the empty one included: binary to length 14
 SQUARE_GUARD = 1000
 
 
-def _subsequence_strings(text: str) -> set[str]:
+def _palindromic_subsequences(w: Word) -> set[str]:
+    """The distinct nonempty palindromic subsequences of w, filtered from all its subsequences."""
+    if len(w) > SP_GUARD:
+        raise ValueError(f"brute enumeration is limited to |w| <= {SP_GUARD}")
     subs = {""}
-    for ch in text:
+    for ch in w.text:
         subs |= {t + ch for t in subs}
-    return subs
+    return {t for t in subs if t and t == t[::-1]}
 
 
 def brute_sp_count(w: Word) -> int:
     """Distinct nonempty palindromic subsequences, by subset enumeration."""
-    if len(w) > SP_GUARD:
-        raise ValueError(f"brute enumeration is limited to |w| <= {SP_GUARD}")
-    return sum(1 for t in _subsequence_strings(w.text) if t and t == t[::-1])
+    return len(_palindromic_subsequences(w))
 
 
 def brute_sp_enumerate(w: Word) -> set[Word]:
     """The set of distinct nonempty palindromic subsequences of w."""
-    if len(w) > SP_GUARD:
-        raise ValueError(f"brute enumeration is limited to |w| <= {SP_GUARD}")
-    return {
-        Word(w.alphabet, t)
-        for t in _subsequence_strings(w.text)
-        if t and t == t[::-1]
-    }
+    return {Word(w.alphabet, t) for t in _palindromic_subsequences(w)}
+
+
+def brute_sp_counts(symbols: str, n_max: int) -> dict[str, int]:
+    """brute_sp_count of every word of length 1..n_max over symbols, by text, walking the trie of words: w·c's
+    subsequences are w's and each of them followed by c, and w·c's count adds the new ones that are palindromes."""
+    if (words := sum(len(symbols) ** k for k in range(n_max + 1))) > SP_WORDS_GUARD:
+        raise ValueError(f"brute enumeration is limited to {SP_WORDS_GUARD} words; this call needs {words}")
+    counts: dict[str, int] = {}
+
+    def walk(w: str, subs: set[str], count: int) -> None:
+        for c in symbols:
+            new = {t + c for t in subs} - subs
+            counts[w + c] = grown = count + sum(1 for t in new if t == t[::-1])
+            if len(w) + 1 < n_max:
+                walk(w + c, subs | new, grown)
+
+    walk("", {""}, 0)
+    return counts
 
 
 def brute_count(pattern: Word, text: Word) -> int:

@@ -11,6 +11,7 @@ import random
 from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import chain, product
+from operator import ne
 
 from . import oracle
 from .density import IntegralParams, count_occurrences, integral_density
@@ -26,37 +27,33 @@ SEED = 20240517
 def _tally(label: str, cases: Callable[[], Iterator[bool]]) -> tuple[bool, str]:
     """Run ``cases``, which yields one mismatch flag per case, and count cases and mismatches.
     The detail is ``label`` formatted with the case count (a label without "{}" omits it)."""
-    n = bad = 0
-    for miss in cases():
-        n, bad = n + 1, bad + miss
-    return bad == 0, f"{label.format(n)}, {bad} mismatches"
+    misses = list(cases())
+    bad = sum(misses)
+    return bad == 0, f"{label.format(len(misses))}, {bad} mismatches"
 
 
 def _random_word(rng: random.Random, alphabet: Alphabet, least: int, most: int) -> Word:
     # a uniform length in [least, most], then one uniform symbol per position
-    return Word(alphabet, "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(least, most))))
+    return Word(alphabet, "".join([rng.choice(alphabet.symbols) for _ in range(rng.randint(least, most))]))
 
 
 def _occurrence_count() -> Iterator[bool]:
-    # occurrence counting vs all-windows scan
+    # occurrence counting vs all-windows scan; each text's masks are parsed once, for all its patterns
     rng = random.Random(SEED)
+    patterns = {plen: [Word(BINARY, "".join(pb)) for pb in product("01", repeat=plen)] for plen in range(1, 4)}
+    texts = ((tlen, Word(BINARY, "".join(tb))) for tlen in range(1, 9) for tb in product("01", repeat=tlen))
     cases = chain(
-        (
-            (Word(BINARY, "".join(pb)), Word(BINARY, "".join(tb)))
-            for tlen in range(1, 9)
-            for tb in product("01", repeat=tlen)
-            for plen in range(1, min(3, tlen) + 1)
-            for pb in product("01", repeat=plen)
-        ),
+        ((p, t) for tlen, t in texts for plen in range(1, min(3, tlen) + 1) for p in patterns[plen]),
         ((_random_word(rng, BINARY, 1, 8), _random_word(rng, BINARY, 1, 64)) for _ in range(300)),
     )
     return (count_occurrences(p, t) != oracle.brute_count(p, t) for p, t in cases)
 
 
 def _scattered_palindromes() -> Iterator[bool]:
-    # scattered-palindrome DP vs subset enumeration
+    # scattered-palindrome DP vs subset enumeration along the trie of words
+    counts = oracle.brute_sp_counts("01", 10)
     words = (Word(BINARY, "".join(b)) for n in range(1, 11) for b in product("01", repeat=n))
-    return (sp_count(w) != oracle.brute_sp_count(w) for w in words)
+    return (sp_count(w) != counts[w.text] for w in words)
 
 
 def _palindromic_factors() -> Iterator[bool]:
@@ -111,8 +108,7 @@ def _integral_dual_path() -> Iterator[bool]:
 
 def _symbol_access() -> Iterator[bool]:
     # direct symbol access vs generated prefix
-    text = infinite_prefix(20000).text
-    return (nth_symbol(i) != text[i] for i in range(20000))
+    return map(ne, map(nth_symbol, range(20000)), infinite_prefix(20000).text)
 
 
 def _factor_complexity() -> Iterator[bool]:

@@ -29,12 +29,13 @@ GUARDS = {
 }
 
 
-def _admit(name: str, need: int, read: int | None = None) -> None:
-    """Refuse a need past guard `name`, with the limit, its unit and cost, and the symbols read if given."""
+def _admit(name: str, need: int, read: int | None = None, shown: str | None = None) -> None:
+    """Refuse a need past guard `name`, with the limit, its unit and cost, the need (or `shown` in its place,
+    for a need too large to print) and the symbols read if given."""
     limit, unit, cost = GUARDS[name]
     if need > limit:
         needs = "this input needs" if read is None else f"its first {read} symbols need"
-        raise ValueError(f"{name} is limited to {limit} {unit} ({cost} at the limit); {needs} {need}")
+        raise ValueError(f"{name} is limited to {limit} {unit} ({cost} at the limit); {needs} {shown or need}")
 
 
 class _DataclassFields:  # dataclasses is imported only when its functions ask for a record's fields

@@ -116,10 +116,11 @@ def test_c04_worked_palindrome_counts():
 def test_c04_sp_dp_matches_brute_force_to_14():
     start = time.perf_counter()
     checked = 0
+    brute = oracle.brute_sp_counts("ab", 14)  # subset enumeration along the trie of words
     for n in range(1, 15):
         for bits in product("ab", repeat=n):
             s = "".join(bits)
-            assert sp_count(AB.word(s)) == oracle.brute_sp_count(AB.word(s)), s
+            assert sp_count(AB.word(s)) == brute[s], s
             checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 2**15 - 2 and elapsed < 60.0

@@ -64,9 +64,9 @@ def test_generate_far_past_the_guard_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "generate", "--n", "1000000000")
     assert code == 3
     assert out == ""
-    assert err == (  # the first length past the limit, F_44
+    assert err == (  # |w_(10**9)| = F_(10**9), stated by its digit count
         "error: generation is limited to 536870912 symbols (1.55-1.69 GB and 4-14 s at the limit); "
-        "this input needs 701408733\n"
+        "this input needs a length of 208987640 digits\n"
     )
 
 

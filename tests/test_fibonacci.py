@@ -151,9 +151,26 @@ def test_fib_word_guards():
         fib_word(44)
     with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* needs {fib(44)}$"):
         fib_word(43, REFERENCE_SEEDS)
-    # The length loop stops at the guard and never reaches F_(10**9).
-    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* needs {fib(44)}$"):
+    # A refusal states the input's own length, not the first one past the guard
+    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* needs {fib(60)}$"):
+        fib_word(60)
+    # F_(10**9) is an ~83 MB integer: the refusal states its digit count instead, 10**9 log10(phi) - log10(sqrt 5)
+    # = 208987639.90 (to 50 digits, from mpmath), and never computes it
+    with pytest.raises(ValueError, match=f"generation is limited to {SIZE} symbols .* a length of 208987640 digits$"):
         fib_word(10**9)
+
+
+@pytest.mark.parametrize("n", [101, 102, 1000, 10**4, 10**5])
+def test_fib_word_refusal_past_w_100_states_the_digit_count(n):
+    # |w_n| = F_n under the default seeds and F_(n+1) under the reference seeds; w_100 and before are exact
+    for seeds, length in ((fibonacci.DEFAULT_SEEDS, fib(n)), (REFERENCE_SEEDS, fib(n + 1))):
+        digits = length.bit_length() * 3 // 10  # a lower estimate, then corrected by exact comparison
+        while 10**digits <= length:
+            digits += 1
+        with pytest.raises(ValueError, match=f"needs a length of {digits} digits$"):
+            fib_word(n, seeds)
+    with pytest.raises(ValueError, match=f"needs {fib(100)}$"):
+        fib_word(100)
 
 
 def test_fib_word_admits_a_word_of_exactly_the_guard(monkeypatch):
@@ -163,11 +180,12 @@ def test_fib_word_admits_a_word_of_exactly_the_guard(monkeypatch):
     assert fib_word(20) == infinite_prefix(fib(20))
     assert len(fib_word(19, REFERENCE_SEEDS)) == fib(20)
     monkeypatch.setitem(GUARDS, "generation", (fib(20) - 1, unit, cost))  # one symbol short of w_20
-    for n, seeds in ((20, fibonacci.DEFAULT_SEEDS), (19, REFERENCE_SEEDS), (21, fibonacci.DEFAULT_SEEDS)):
+    for n, seeds, need in ((20, fibonacci.DEFAULT_SEEDS, fib(20)), (19, REFERENCE_SEEDS, fib(20)),
+                           (21, fibonacci.DEFAULT_SEEDS, fib(21))):
         with pytest.raises(ValueError) as refused:
             fib_word(n, seeds)
         assert str(refused.value) == (
-            f"generation is limited to {fib(20) - 1} symbols ({cost} at the limit); this input needs {fib(20)}")
+            f"generation is limited to {fib(20) - 1} symbols ({cost} at the limit); this input needs {need}")
 
 
 def test_fib_word_reference_seeds():

@@ -26,6 +26,15 @@ def test_brute_sp_count_matches_enumeration():
         assert oracle.brute_sp_count(w) == len(oracle.brute_sp_enumerate(w))
 
 
+def test_brute_sp_counts_match_word_by_word_enumeration():
+    # every binary word of length 1-10 and every ternary word of length 1-6, and no other key
+    for symbols, alphabet, n_max in (("ab", AB, 10), ("abc", ABC, 6)):
+        texts = ["".join(t) for n in range(1, n_max + 1) for t in itertools.product(symbols, repeat=n)]
+        counts = oracle.brute_sp_counts(symbols, n_max)
+        assert counts.keys() == set(texts)
+        assert all(counts[t] == oracle.brute_sp_count(alphabet.word(t)) for t in texts)
+
+
 def test_brute_sp_guard():
     with pytest.raises(ValueError):
         oracle.brute_sp_count(AB.word("a" * 21))
@@ -97,8 +106,11 @@ def test_brute_square_free_words_small():
         (lambda: oracle.brute_factor_set(AB.word("ab"), -1), "factor length must be nonnegative"),
         (lambda: oracle.brute_square_free_words(2, -1), "length must be nonnegative"),
         (lambda: oracle.brute_square_free_words(3, 16), "brute enumeration is limited to n <= 15"),
+        (lambda: oracle.brute_sp_counts("ab", 15), "brute enumeration is limited to 32768 words; this call needs 65535"),
+        (lambda: oracle.brute_sp_counts("abc", 10), "brute enumeration is limited to 32768 words; this call needs 88573"),
     ],
-    ids=["sp-enumerate-past-20", "factor-set-negative-k", "square-free-negative-n", "square-free-past-15"],
+    ids=["sp-enumerate-past-20", "factor-set-negative-k", "square-free-negative-n", "square-free-past-15",
+         "sp-counts-binary-past-14", "sp-counts-ternary-past-9"],
 )
 def test_oracle_guards_refuse(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -113,6 +113,26 @@ MUTANTS = [
      "        if (block := text[s : s + k + 63]) not in blocks:",
      "        if (block := text[s : s + k + 62]) not in blocks:",
      "a block of 64 windows of length k spans k + 63 symbols"),
+    ("tally-forgives-one", "verify.py",
+     "    return bad == 0, f\"{label.format(len(misses))}, {bad} mismatches\"",
+     "    return bad <= 1, f\"{label.format(len(misses))}, {bad} mismatches\"",
+     "a verify suite fails on its first mismatch"),
+    ("trie-counts-every-subsequence", "oracle.py",
+     "            new = {t + c for t in subs} - subs",
+     "            new = {t + c for t in subs}",
+     "w·c's count adds only the palindromes that are not already subsequences of w"),
+    ("trie-one-level-deeper", "oracle.py",
+     "            if len(w) + 1 < n_max:",
+     "            if len(w) + 1 <= n_max:",
+     "the trie walk stops at words of length n_max"),
+    ("occurrence-patterns-past-text", "verify.py",
+     "        ((p, t) for tlen, t in texts for plen in range(1, min(3, tlen) + 1) for p in patterns[plen]),",
+     "        ((p, t) for tlen, t in texts for plen in range(1, min(3, tlen + 1) + 1) for p in patterns[plen]),",
+     "the exhaustive occurrence cases pair a text only with patterns no longer than it"),
+    ("fib-word-exact-to-w99", "fibonacci.py",
+     "    for _ in range(min(n, 100) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits",
+     "    for _ in range(min(n, 99) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits",
+     "fib_word's refusal states |w_n| itself up to w_100, and its digit count from |w_100| past it"),
 ]
 
 
