@@ -184,7 +184,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> Report:
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
     from . import verify  # the suites and the oracle load only for this command
-    results = [(name, *suite()) for name, suite in verify.SUITES]
+    results = verify.run()
     lines = [f"verify {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
     lines.append(f"verify: {len(results) - failed}/{len(results)} suites ok")

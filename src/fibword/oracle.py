@@ -94,16 +94,21 @@ def brute_factor_set(w: Word, k: int) -> set[Word]:
     return {Word(w.alphabet, t) for t in {text[i : i + k] for i in range(len(text) - k + 1)}}
 
 
-def brute_pal_factor_set(w: Word) -> set[Word]:
-    """All distinct nonempty palindromic factors, grown one matching pair of ends at a time
-    from each of the 2n - 1 centres (a letter, or the gap between two)."""
-    text, n, found = w.text, len(w.text), set()
+def brute_pal_factor_texts(text: str) -> set[str]:
+    """All distinct nonempty palindromic factors of text, grown one matching pair of ends at a
+    time from each of the 2n - 1 centres (a letter, or the gap between two)."""
+    n, found = len(text), set()
     for centre in range(2 * n - 1):
         i, j = centre // 2, (centre + 1) // 2
         while i >= 0 and j < n and text[i] == text[j]:
             found.add(text[i : j + 1])
             i, j = i - 1, j + 1
-    return {Word(w.alphabet, t) for t in found}
+    return found
+
+
+def brute_pal_factor_set(w: Word) -> set[Word]:
+    """brute_pal_factor_texts of w, one Word each."""
+    return {Word(w.alphabet, t) for t in brute_pal_factor_texts(w.text)}
 
 
 def brute_square_free_words(alphabet_size: int, n: int) -> list[Word]:

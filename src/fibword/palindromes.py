@@ -13,8 +13,6 @@ from bisect import bisect_left
 from itertools import chain, product, repeat
 from operator import add, sub
 
-from .density import DensitySample, count_occurrences
-from .fibonacci import infinite_prefix
 from .words import BINARY, GUARDS, Word, _admit, _Record, _unchecked_word
 
 
@@ -171,6 +169,8 @@ def pal_density_table(prefix_len: int, length: int) -> dict[Word, DensitySample]
         raise ValueError("palindrome length must be between 1 and 8")
     if prefix_len < length:
         raise ValueError("prefix must be at least as long as the palindromes")
+    from .density import DensitySample, count_occurrences  # only this table loads the density layer
+    from .fibonacci import infinite_prefix
     prefix = infinite_prefix(prefix_len)
     texts = ("".join(bits) for bits in product("01", repeat=length))
     pals = [Word(BINARY, t) for t in texts if t == t[::-1]]

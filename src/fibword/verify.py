@@ -2,11 +2,13 @@
 
 ``SUITES`` holds (name, suite) pairs; each suite tallies one mismatch flag per case into
 (ok, detail) and seeds its own generator, so it draws the same cases alone as in a full run.
-``fibword verify`` and ``tests/test_verify.py`` both iterate it.
+``fibword verify`` runs them through ``run``; ``tests/test_verify.py`` iterates them.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
 from collections.abc import Callable, Iterator
 from functools import partial
@@ -60,7 +62,7 @@ def _palindromic_factors() -> Iterator[bool]:
     # palindromic factor sets: eertree vs the brute scan around every centre
     rng = random.Random(SEED)
     words = (_random_word(rng, AB, 0, 120) for _ in range(150))
-    return (set(pal_factors(w).pal_factors) != oracle.brute_pal_factor_set(w) for w in words)
+    return ({f.text for f in pal_factors(w).pal_factors} != oracle.brute_pal_factor_texts(w.text) for w in words)
 
 
 def _square_free_enumeration() -> Iterator[bool]:
@@ -130,3 +132,34 @@ SUITES = (
     ("symbol-access", partial(_tally, "{} symbols", _symbol_access)),
     ("factor-complexity", partial(_tally, "k<=12", _factor_complexity)),
 )
+
+
+def run() -> list[tuple[str, bool, str]]:
+    """Every suite's (name, ok, detail), in ``SUITES`` order.  This process and one child forked here
+    pull suite indices from one pipe; a suite the child did not send back (it raised or died) runs here.
+    A fork copies only the calling thread, so call this from a process that runs no other thread."""
+    todo, fill = os.pipe()
+    os.write(fill, bytes(range(len(SUITES))))
+    os.close(fill)
+    back, send = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork here, or no process to be had: this one runs them all
+        pid = -1
+    done: dict[int, tuple[bool, str]] = {}
+    try:
+        while index := os.read(todo, 1):
+            done[index[0]] = SUITES[index[0]][1]()
+    finally:
+        if pid == 0:  # the child sends what it finished, raised or not, and leaves without clean-up
+            try:
+                os.write(send, marshal.dumps(done))
+            finally:
+                os._exit(0)
+        for fd in (todo, send):
+            os.close(fd)
+        with open(back, "rb") as got:  # read to its end, which comes when the child exits
+            done.update(marshal.loads(got.read() or marshal.dumps({})))
+        if pid > 0:
+            os.waitpid(pid, 0)
+    return [(name, *(done[i] if i in done else suite())) for i, (name, suite) in enumerate(SUITES)]

@@ -579,9 +579,9 @@ _README_COMMANDS = [
     (["density", "--a", "0", "--b", "inf", "--k", "1", "--tau", "1"], _DENSITY_MODULES),
     (["curve", "--n-max", "100"], _DENSITY_MODULES),
     (["curve", "--kind", "letter", "--letter", "0", "--n-max", "100"], _DENSITY_MODULES),
-    (["palindromes", "--pattern", "abaa"], _PALINDROME_MODULES),
+    (["palindromes", "--pattern", "abaa"], {"palindromes", "words"}),
     (["palindromes", "--prefix", "1000", "--length", "3"], _PALINDROME_MODULES),
-    (["scattered", "--pattern", "abaa"], _PALINDROME_MODULES),
+    (["scattered", "--pattern", "abaa"], {"palindromes", "words"}),
     (["squarefree", "--length", "5"], {"squarefree", "words"}),
     (["squarefree", "--n-max", "12"], {"squarefree", "words"}),
     (["catalan", "--n-max", "10"], {"catalan", "fibonacci", "words"}),

@@ -132,7 +132,78 @@ MUTANTS = [
     ("fib-word-exact-to-w99", "fibonacci.py",
      "    for _ in range(min(n, 100) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits",
      "    for _ in range(min(n, 99) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits",
-     "fib_word's refusal states |w_n| itself up to w_100, and its digit count from |w_100| past it"),
+     "fib_word's refusal states |w_n| itself up to w_100, and its digit count from |w_100| past it"),    ("runner-arrival-order", "verify.py",
+     "    return [(name, *(done[i] if i in done else suite())) for i, (name, suite) in enumerate(SUITES)]",
+     "    return [(SUITES[i][0], *done[i]) for i in done] + [(n, *s()) for i, (n, s) in enumerate(SUITES) if i not in done]",
+     "verify prints its suites in SUITES order, not in the order their results arrived"),
+    ("runner-unreported-left-out", "verify.py",
+     "    return [(name, *(done[i] if i in done else suite())) for i, (name, suite) in enumerate(SUITES)]",
+     "    return [(name, *done[i]) for i, (name, suite) in enumerate(SUITES) if i in done]",
+     "a suite whose result the child did not send back (it raised or died there) runs in the parent"),
+    ("runner-parent-leaves-pipe", "verify.py",
+     "        while index := os.read(todo, 1):",
+     "        while pid == 0 and (index := os.read(todo, 1)):",
+     "the parent pulls suites from the pipe too, not only the child"),
+    ("runner-child-results-dropped", "verify.py",
+     "                os.write(send, marshal.dumps(done))",
+     "                pass",
+     "the child sends back what it ran, so no suite runs twice"),
+    ("lower-series-ratio-one-off", "density.py",
+     "        term *= z / (k + i + 1)",
+     "        term *= z / (k + i)",
+     "the series term t_(i+1) is t_i z / (k + i + 1)"),
+    ("upper-fraction-b-one-off", "density.py",
+     "        c, b = i * (i - k) if i else 1.0, 2 * i + 1 - k",
+     "        c, b = i * (i - k) if i else 1.0, 2 * i + 2 - k",
+     "the continued fraction's b_i is z + 2i + 1 - k"),
+    ("nan-gap-let-through", "density.py",
+     "    if not gap <= 1e-9:  # a NaN on either route fails this too",
+     "    if gap > 1e-9:  # a NaN on either route fails this too",
+     "integral_density refuses a NaN on either route"),
+    ("scaled-one-half-dropped", "density.py",
+     "    return half * s * half",
+     "    return s * half",
+     "x**k exp(-lam x) is computed in two halves, both multiplied in"),
+    ("de-node-zero-both-sides", "density.py",
+     "    first = 1 if level or sign > 0 else 0",
+     "    first = 1 if level else 0",
+     "the t = 0 node is counted on one side only"),
+    ("long-pattern-starts-one-late", "density.py",
+     "    starts = map(add, accumulate(map(len, gaps)), range(len(gaps)))  # zeros + ones before",
+     "    starts = map(add, accumulate(map(len, gaps)), range(1, len(gaps) + 1))  # zeros + ones before",
+     "a candidate start is the zeros and ones before its mark"),
+    ("csv-cr-unquoted", "cli.py",
+     "    if isinstance(value, str) and any(c in value for c in ',\"\\r\\n'):",
+     "    if isinstance(value, str) and any(c in value for c in ',\"\\n'):",
+     "a CSV cell holding a CR is quoted (RFC 4180)"),
+    ("two-modes-admitted", "cli.py",
+     "    if len(chosen) != 1:",
+     "    if not chosen:",
+     "argv that completes two modes of a command is a usage error"),
+    ("usage-error-exits-3", "cli.py",
+     "        return 2",
+     "        return 3",
+     "a usage error exits 2"),
+    ("ones-run-overshoots", "squarefree.py",
+     "        m = min(r, k - r)",
+     "        m = r",
+     "the run test doubles its run length only up to k"),
+    ("stray-symbol-one-early", "squarefree.py",
+     "        pos = k + sum(map(len, runs[:k])) + 3  # past the run's a and two b's",
+     "        pos = k + sum(map(len, runs[:k])) + 2  # past the run's a and two b's",
+     "delta_decode's refusal names the stray b, past the run's a and two b's"),
+    ("membership-max", "fuzzy.py",
+     "    return min(fw.memberships)",
+     "    return max(fw.memberships)",
+     "a fuzzy word's degree is its least symbol degree"),
+    ("g-numerator-one-off", "catalan.py",
+     "    return 1 + Fraction(n + 1, math.comb(2 * n, n))",
+     "    return 1 + Fraction(n + 2, math.comb(2 * n, n))",
+     "g(n) = 1 + (n + 1) / binom(2n, n)"),
+    ("phi-upper-twice-out", "fibonacci.py",
+     "    return Fraction(r + scale, 2 * scale), Fraction(r + 1 + scale, 2 * scale)",
+     "    return Fraction(r + scale, 2 * scale), Fraction(r + 2 + scale, 2 * scale)",
+     "the bracket is tight to 10**-digits"),
 ]
 
 
