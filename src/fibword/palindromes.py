@@ -44,31 +44,37 @@ def _pal_factor_strings(text: str) -> list[str]:
     """The distinct nonempty palindromic factors of text, off its eertree.
 
     Node 0 is the imaginary root (length -1) and node 1 the empty root; each
-    other node is one palindrome, kept as its length, suffix link and start
+    other node is one palindrome, kept as its length, suffix link and end
     in three flat lists; each letter c has one dict of edges v -> c.v.c.  A
     walk reads the letters from a list ending in None, which a palindrome
     that starts the text meets at -1, so only the imaginary root ends it.
+    Below v, the walk for c reads only letters inside v (the one before each
+    proper suffix of v), so c's dict of jumps keeps, per v, where it stopped.
     """
-    lens, links, starts = [-1, 0], [0, 0], [0, 0]
-    edges, sym = {c: {} for c in set(text)}, [*text, None]
+    lens, links, ends, sym = [-1, 0], [0, 0], [0, 0], [*text, None]
+    edges = {c: {} for c in set(text)}
+    jumps = {c: {} for c in edges}
     last, total, limit = 1, 0, GUARDS["pal_factors"][0]  # the longest palindromic suffix read; lengths' sum
-    for pos, ch in enumerate(text):
+    for end, ch in enumerate(text, 1):  # a suffix v of text[:end - 1] follows the letter at end - |v| - 2
         v = last
-        while sym[i := pos - lens[v] - 1] != ch:
-            v = links[v]
+        if sym[end - lens[v] - 2] != ch and (v := (jump := jumps[ch]).get(last)) is None:
+            v = links[last]
+            while sym[end - lens[v] - 2] != ch:
+                v = links[v]
+            jump[last] = v
         out = edges[ch]
         if (last := out.get(v)) is None:
             u = links[v]  # shorter than v, so its index below never drops under -1
-            while sym[pos - lens[u] - 1] != ch:
+            while sym[end - lens[u] - 2] != ch:
                 u = links[u]
             links.append(out[u] if v else 1)  # a letter links to the empty root
             last = out[v] = len(lens)
             lens.append(lens[v] + 2)
-            starts.append(i)
+            ends.append(end)
             total += lens[-1]
             if total > limit:  # every factor is built as a string: stop before any is
-                _admit("pal_factors", total, pos + 1)
-    return [text[s : s + n] for s, n in zip(starts[2:], lens[2:])]
+                _admit("pal_factors", total, end)
+    return [text[e - n : e] for e, n in zip(ends[2:], lens[2:])]
 
 
 def pal_factors(w: Word) -> PalindromeReport:

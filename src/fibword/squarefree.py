@@ -17,7 +17,7 @@ THUE_MORSE_MORPHISM = Morphism(BINARY, BINARY, {"0": "01", "1": "10"})
 
 #: The square-free codec morphism: ternary words to binary words.
 DELTA_MORPHISM = Morphism(ABC, AB, {"a": "abb", "b": "ab", "c": "a"})
-_DELTA_RUNS = {img.text[1:]: c for c, img in DELTA_MORPHISM.images.items()}  # b's after the a
+_DELTA_SYMBOLS = str.maketrans("012", "abc")  # delta_decode's stand-ins for the images abb, ab, a
 
 _SQUARE_FREE_ALPHABETS = {2: AB, 3: ABC}
 _levels = {2: (("",),), 3: (("",),)}  # per alphabet size, the sorted levels 0.. built so far
@@ -100,29 +100,24 @@ def thue_morse_prefix(length: int) -> Word:
     return _unchecked_word(BINARY, THUE_MORSE_MORPHISM.fixed_point_prefix("0", length))
 
 
-def _has_ones_run(z: int, k: int) -> bool:
-    # Does the bitmask z contain k consecutive set bits?
-    r = 1
-    while z and r < k:
-        m = min(r, k - r)
-        z &= z >> m
-        r += m
-    return z != 0
-
-
 def _has_periodic_factor(w: Word, extra: int) -> bool:
     """Does w have a factor of length 2p + extra with period p, for some p >= 1?
     A square is extra = 0, an overlap extra = 1."""
     _admit("repetition_test", len(w))
     # Bit i of a letter's mask is set iff symbol i is that letter, so bit i
-    # of `agree` is set iff symbols i and i+p are equal; such a factor is
-    # p + extra consecutive agreement positions.
+    # of z is set iff symbols i and i+p are equal; such a factor is k =
+    # p + extra agreement positions in a row.  Doubling r, bit i of z stays
+    # set iff bits i..i+r-1 were; one last shift by k - r <= r reaches k.
     masks = _letter_masks(w).values()
     for p in range(1, (len(w) - extra) // 2 + 1):
-        agree = 0
+        z = 0
         for m in masks:
-            agree |= m & (m >> p)
-        if _has_ones_run(agree, p + extra):
+            z |= m & (m >> p)
+        r, k = 1, p + extra
+        while z and r + r <= k:
+            z &= z >> r
+            r += r
+        if z & z >> (k - r):
             return True
     return False
 
@@ -141,17 +136,15 @@ def delta_encode(b: Word) -> Word:
 def delta_decode(x: Word) -> Word:
     """The unique ternary word whose image under the codec morphism is x.
 
-    Each image abb, ab, a is one a followed by 2, 1 or 0 b's, so splitting x
-    at its a's leaves one run of b's per image, after an empty head.
+    Each image abb, ab, a is one a followed by 2, 1 or 0 b's.  Replacing the
+    images longest first, by 0, 1 and 2, leaves a b only where none fits.
     """
     if x.alphabet != AB:
         raise ValueError("input must be a word over {a, b}")
-    head, *runs = x.text.split("a")
-    if head:
+    t = x.text.replace("abb", "0").replace("ab", "1").replace("a", "2")
+    if (j := t.find("b")) == 0:
         raise ValueError("no factorization: the word must start with a")
-    symbols = list(map(_DELTA_RUNS.get, runs))
-    if None in symbols:  # a run of 3 or more b's: its third b is stray
-        k = symbols.index(None)
-        pos = k + sum(map(len, runs[:k])) + 3  # past the run's a and two b's
+    if j > 0:  # the first stray b: each 0 before it stood for 3 symbols of x and each 1 for 2
+        pos = j + 2 * t.count("0", 0, j) + t.count("1", 0, j)
         raise ValueError(f"no factorization: stray symbol at position {pos}")
-    return _unchecked_word(ABC, "".join(symbols))
+    return _unchecked_word(ABC, t.translate(_DELTA_SYMBOLS))

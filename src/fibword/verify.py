@@ -35,8 +35,8 @@ def _tally(label: str, cases: Callable[[], Iterator[bool]]) -> tuple[bool, str]:
 
 
 def _random_word(rng: random.Random, alphabet: Alphabet, least: int, most: int) -> Word:
-    # a uniform length in [least, most], then one uniform symbol per position
-    return Word(alphabet, "".join([rng.choice(alphabet.symbols) for _ in range(rng.randint(least, most))]))
+    # a uniform length in [least, most], then that many uniform symbols in one draw
+    return Word(alphabet, "".join(rng.choices(alphabet.symbols, k=rng.randint(least, most))))
 
 
 def _occurrence_count() -> Iterator[bool]:

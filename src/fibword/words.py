@@ -19,7 +19,7 @@ GUARDS = {
     "pal_factors": (10**8, "characters of factors", "~113 MB and ~0.1 s"),  # the eertree's running total
     "sp_count": (10**4, "symbols", "1.2-5.5 s and 3-4 MB on random words"),
     "enumeration": (20, "symbols", "20-35 ms and under 1 MB"),  # square-free words and their counts
-    "repetition_test": (2**16, "symbols", "0.6-0.9 s"),  # squares and overlaps, ~|w|**2/64 word operations
+    "repetition_test": (2**16, "symbols", "0.22-0.29 s on 2-3 letters, 24 letters ~1 s"),  # ~|w|**2/64 per letter
     "fuzzy_fib_word": (30, "steps", "3.7 s and 229 MB as JSON"),
     "ratio_curve": (10**4, "samples", "7.5 ms and 6.4 MB"),
     "letter_density_curve": (10**6, "samples", "~88 bytes each: 216-366 MB and 2.9-6.7 s through the CLI"),

@@ -84,6 +84,8 @@ def test_distinct_factors_match_the_brute_factor_set(w, k):
 @example(Word(Alphabet("10"), FIB[:300]))
 @example(Word(Alphabet("一二"), "一二二一二一一二二一"))
 @example(Word(Alphabet("abc"), "abacabab"))  # the prefix abacaba is a palindrome: the last b's walk reads the sentinel
+@example(Word(Alphabet("abc"), "abcab"))  # the last b rereads the jump from a that the first b stored past the sentinel
+@example(Word(Alphabet("abc"), "bcabababcabababb"))  # symbols 12 and 14 reread the jumps from aba and ababa
 def test_pal_factors_match_the_brute_pal_factor_set(w):
     assert list(pal_factors(w).pal_factors) == sorted(oracle.brute_pal_factor_set(w))
 

@@ -347,6 +347,46 @@ def test_delta_decode_examples():
         delta_decode(BINARY.word("01"))
 
 
+def _split_decode(text: str) -> str:
+    # the reference decoder: split at the a's, which leaves one run of b's per image after an empty head
+    head, *runs = text.split("a")
+    if head:
+        raise ValueError("no factorization: the word must start with a")
+    symbols = list(map({"bb": "a", "b": "b", "": "c"}.get, runs))
+    if None in symbols:  # a run of 3 or more b's: its third b is stray
+        k = symbols.index(None)
+        pos = k + sum(map(len, runs[:k])) + 3  # past the run's a and two b's
+        raise ValueError(f"no factorization: stray symbol at position {pos}")
+    return "".join(symbols)
+
+
+def _outcome(decode, text: str) -> str:
+    try:
+        return decode(text)
+    except ValueError as refusal:
+        return f"ValueError: {refusal}"
+
+
+def test_delta_decode_matches_the_split_decoder():
+    # every {a, b} word of length <= 12, then longer drawn words: random ones, which mostly
+    # hold a stray b early, and codec images with one symbol flipped or none, which hold it late
+    rng = random.Random(37)
+    words = ["".join(t) for n in range(13) for t in product("ab", repeat=n)]
+    words += ["".join(rng.choices("ab", k=rng.randint(13, 200))) for _ in range(300)]
+    for _ in range(300):
+        image = list(delta_encode(ABC.word("".join(rng.choices("abc", k=rng.randint(5, 100))))).text)
+        if rng.random() < 0.8:
+            i = rng.randrange(len(image))
+            image[i] = "ab"[image[i] == "a"]
+        words.append("".join(image))
+    refused = 0
+    for text in words:
+        expected = _outcome(_split_decode, text)
+        assert _outcome(lambda t: delta_decode(AB.word(t)).text, text) == expected, text
+        refused += expected.startswith("ValueError")
+    assert 0 < refused < len(words)
+
+
 def test_delta_round_trip_randomized():
     rng = random.Random(23)
     for _ in range(300):

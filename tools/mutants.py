@@ -89,9 +89,13 @@ MUTANTS = [
      "                    if (y := counted[top] - 1) > hi[f + 1]:",
      "                    if (y := counted[top] - 1) >= 0:",
      "a kid's hull only widens: a later parent with a lower top must not cut it"),
+    ("eertree-jump-unwalked", "palindromes.py",
+     "            jump[last] = v",
+     "            jump[last] = links[last]",
+     "a jump keeps where the walk below the node stopped, not the node's suffix link"),
     ("eertree-sentinel-dropped", "palindromes.py",
-     "    edges, sym = {c: {} for c in set(text)}, [*text, None]",
-     "    edges, sym = {c: {} for c in set(text)}, [*text]",
+     "    lens, links, ends, sym = [-1, 0], [0, 0], [0, 0], [*text, None]",
+     "    lens, links, ends, sym = [-1, 0], [0, 0], [0, 0], [*text]",
      "a palindrome that starts the text reads the None at index -1, not the text's last letter"),
     ("shift-and-63-symbols", "density.py",
      "    for j, c in enumerate(p[1:64], 1):",
@@ -132,7 +136,8 @@ MUTANTS = [
     ("fib-word-exact-to-w99", "fibonacci.py",
      "    for _ in range(min(n, 100) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits",
      "    for _ in range(min(n, 99) - 1):  # exact to |w_100|, past every guard; then |w_100| phi**(n - 100) to 40 digits",
-     "fib_word's refusal states |w_n| itself up to w_100, and its digit count from |w_100| past it"),    ("runner-arrival-order", "verify.py",
+     "fib_word's refusal states |w_n| itself up to w_100, and its digit count from |w_100| past it"),
+    ("runner-arrival-order", "verify.py",
      "    return [(name, *(done[i] if i in done else suite())) for i, (name, suite) in enumerate(SUITES)]",
      "    return [(SUITES[i][0], *done[i]) for i in done] + [(n, *s()) for i, (n, s) in enumerate(SUITES) if i not in done]",
      "verify prints its suites in SUITES order, not in the order their results arrived"),
@@ -185,13 +190,25 @@ MUTANTS = [
      "        return 3",
      "a usage error exits 2"),
     ("ones-run-overshoots", "squarefree.py",
-     "        m = min(r, k - r)",
-     "        m = r",
-     "the run test doubles its run length only up to k"),
+     "        while z and r + r <= k:",
+     "        while z and r < k:",
+     "the run test doubles its run length only while it stays within k"),
+    ("ones-run-last-step-long", "squarefree.py",
+     "        if z & z >> (k - r):",
+     "        if z & z >> (k - r + 1):",
+     "the run test's last shift takes the run from r to exactly k"),
     ("stray-symbol-one-early", "squarefree.py",
-     "        pos = k + sum(map(len, runs[:k])) + 3  # past the run's a and two b's",
-     "        pos = k + sum(map(len, runs[:k])) + 2  # past the run's a and two b's",
-     "delta_decode's refusal names the stray b, past the run's a and two b's"),
+     '        pos = j + 2 * t.count("0", 0, j) + t.count("1", 0, j)',
+     '        pos = j - 1 + 2 * t.count("0", 0, j) + t.count("1", 0, j)',
+     "delta_decode's refusal names the first stray b, past the symbols its images stood for"),
+    ("decode-short-image-first", "squarefree.py",
+     '    t = x.text.replace("abb", "0").replace("ab", "1").replace("a", "2")',
+     '    t = x.text.replace("ab", "1").replace("abb", "0").replace("a", "2")',
+     "delta_decode replaces the longest image first, or abb reads as ab and a stray b"),
+    ("leading-b-refusal-dropped", "squarefree.py",
+     '        raise ValueError("no factorization: the word must start with a")',
+     "        pass",
+     "a word that starts with b is refused as one that does not start with a"),
     ("membership-max", "fuzzy.py",
      "    return min(fw.memberships)",
      "    return max(fw.memberships)",
