@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, product, repeat
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .words import BINARY, GUARDS, Word, _admit, _Record, _unchecked_word
 
@@ -44,37 +44,37 @@ def _pal_factor_strings(text: str) -> list[str]:
     """The distinct nonempty palindromic factors of text, off its eertree.
 
     Node 0 is the imaginary root (length -1) and node 1 the empty root; each
-    other node is one palindrome, kept as its length, suffix link and end
-    in three flat lists; each letter c has one dict of edges v -> c.v.c.  A
+    other node is one palindrome, kept as its length plus 2, suffix link and
+    end in three flat lists; each letter c has one dict of edges v -> c.v.c.  A
     walk reads the letters from a list ending in None, which a palindrome
     that starts the text meets at -1, so only the imaginary root ends it.
     Below v, the walk for c reads only letters inside v (the one before each
     proper suffix of v), so c's dict of jumps keeps, per v, where it stopped.
     """
-    lens, links, ends, sym = [-1, 0], [0, 0], [0, 0], [*text, None]
+    back, links, ends, sym = [1, 2], [0, 0], [0, 0], [*text, None]  # back[v] = |v| + 2
     edges = {c: {} for c in set(text)}
     jumps = {c: {} for c in edges}
     last, total, limit = 1, 0, GUARDS["pal_factors"][0]  # the longest palindromic suffix read; lengths' sum
-    for end, ch in enumerate(text, 1):  # a suffix v of text[:end - 1] follows the letter at end - |v| - 2
+    for end, ch in enumerate(text, 1):  # a suffix v of text[:end - 1] follows the letter at end - back[v]
         v = last
-        if sym[end - lens[v] - 2] != ch and (v := (jump := jumps[ch]).get(last)) is None:
+        if sym[end - back[v]] != ch and (v := (jump := jumps[ch]).get(last)) is None:
             v = links[last]
-            while sym[end - lens[v] - 2] != ch:
+            while sym[end - back[v]] != ch:
                 v = links[v]
             jump[last] = v
         out = edges[ch]
         if (last := out.get(v)) is None:
             u = links[v]  # shorter than v, so its index below never drops under -1
-            while sym[end - lens[u] - 2] != ch:
+            while sym[end - back[u]] != ch:
                 u = links[u]
             links.append(out[u] if v else 1)  # a letter links to the empty root
-            last = out[v] = len(lens)
-            lens.append(lens[v] + 2)
+            last = out[v] = len(back)
+            back.append(back[v] + 2)
             ends.append(end)
-            total += lens[-1]
+            total += back[v]  # the new palindrome's length
             if total > limit:  # every factor is built as a string: stop before any is
                 _admit("pal_factors", total, end)
-    return [text[e - n : e] for e, n in zip(ends[2:], lens[2:])]
+    return [text[e + 2 - b : e] for e, b in zip(ends[2:], back[2:])]
 
 
 def pal_factors(w: Word) -> PalindromeReport:
@@ -104,6 +104,7 @@ def sp_count(w: Word) -> int:
     nxt, head = [n] * (n + 1), {}  # nxt[p]: the next occurrence of s[p]; head[c]: the first c
     for p in range(n - 1, -1, -1):
         nxt[p], head[s[p]] = head.get(s[p], n), p
+    _admit("sp_slots", len([f for f in head.values() if nxt[f] < n]) * (n + 1))  # before any count list is built
     pos, cnt, bufs = {}, {}, {}  # per letter that occurs twice: its positions, cnt[c][p] = c's in s[:p]
     lo, hi = [n] * (n + 1), [-1] * (n + 1)  # row i's hull, as ranks of s[i-1]; hi < 0: not reached
     for c, f in head.items():
@@ -137,16 +138,24 @@ def sp_count(w: Word) -> int:
         if (b := hi[i]) >= 0:
             d, a = s[i - 1], lo[i]
             js = pos[d][a : b + 1]
-            vals, once, top = [2] * len(js), [], js[-1]
+            vals, once, top, pick, chained = repeat(2, len(js)), [], js[-1], itemgetter(*js), 0
             for c, f in kids.items():
                 if nxt[f] < top:  # c occurs twice in s[i:top]: its buffer at the last c before j
                     buf = bufs[c]
-                    term = buf[a : b + 1] if c == d else map(buf.__getitem__, map(cnt[c].__getitem__, js))
-                    vals = list(map(add, vals, term))
+                    if c == d:
+                        term = buf[a : b + 1]
+                    elif a < b:
+                        term = itemgetter(*pick(cnt[c]))(buf)
+                    else:  # one right end: pick gives one rank, not a tuple
+                        term = (buf[cnt[c][top]],)
+                    vals = map(add, vals, term)
+                    if (chained := chained + 1) == 8:  # a long chain of maps costs more than a list
+                        vals, chained = list(vals), 0
                 elif f < top:  # c occurs once in s[i:top]: it adds 1 past f
                     once.append(f)
             if once:
-                vals = list(map(add, vals, map(bisect_left, repeat(sorted(once)), js)))
+                vals = map(add, vals, map(bisect_left, repeat(sorted(once)), js))
+            vals = list(vals)
     return sum(buf[-1] for buf in bufs.values()) + len(head) - len(bufs)
 
 

@@ -103,7 +103,7 @@ def thue_morse_prefix(length: int) -> Word:
 def _has_periodic_factor(w: Word, extra: int) -> bool:
     """Does w have a factor of length 2p + extra with period p, for some p >= 1?
     A square is extra = 0, an overlap extra = 1."""
-    _admit("repetition_test", len(w))
+    _admit("repetition_test", sum(c in w.text for c in w.alphabet.symbols) * len(w) ** 2)  # before any mask is built
     # Bit i of a letter's mask is set iff symbol i is that letter, so bit i
     # of z is set iff symbols i and i+p are equal; such a factor is k =
     # p + extra agreement positions in a row.  Doubling r, bit i of z stays

@@ -17,9 +17,10 @@ GUARDS = {
     "generation": (2**29, "symbols", "1.55-1.69 GB and 4-14 s"),  # fixed_point_prefix, fib_word
     "distinct_factors": (10**8, "characters of blocks and factors", "~96 MB"),  # counted in text order
     "pal_factors": (10**8, "characters of factors", "~113 MB and ~0.1 s"),  # the eertree's running total
-    "sp_count": (10**4, "symbols", "1.2-5.5 s and 3-4 MB on random words"),
+    "sp_count": (10**4, "symbols", "0.9-3.1 s and 4-5 MB on random words"),
+    "sp_slots": (12 * 10**6, "count slots, |w| + 1 per repeated letter", "~97 MB and 6.8 s"),  # ~8 bytes each
     "enumeration": (20, "symbols", "20-35 ms and under 1 MB"),  # square-free words and their counts
-    "repetition_test": (2**16, "symbols", "0.22-0.29 s on 2-3 letters, 24 letters ~1 s"),  # ~|w|**2/64 per letter
+    "repetition_test": (2**35, "letters times symbols squared", "0.66-0.87 s on 2-3,250 letters"),  # |w|**2/64 a letter
     "fuzzy_fib_word": (30, "steps", "3.7 s and 229 MB as JSON"),
     "ratio_curve": (10**4, "samples", "7.5 ms and 6.4 MB"),
     "letter_density_curve": (10**6, "samples", "~88 bytes each: 216-366 MB and 2.9-6.7 s through the CLI"),

@@ -326,7 +326,7 @@ def test_palindromes_past_the_sp_guard_builds_no_factors(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == (
-        "error: sp_count is limited to 10000 symbols (1.2-5.5 s and 3-4 MB on random words at the limit); "
+        "error: sp_count is limited to 10000 symbols (0.9-3.1 s and 4-5 MB on random words at the limit); "
         "this input needs 10001\n"
     )
 

@@ -5,6 +5,8 @@ symbols with startswith, distinct_factors reads blocks of k + 63 symbols, the
 repetition tests shift whole letter masks, and the eertree's factors are
 sorted without a key when the alphabet is in code-point order.  Alphabets
 come in and out of that order, with one, two, three and two CJK letters.
+SP sums a row's letters in chains of maps built into a list every 8 letters,
+so its words repeat 8-10 letters.
 """
 
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from fibword import oracle
 from fibword.density import count_occurrences
 from fibword.fibonacci import infinite_prefix
-from fibword.palindromes import pal_factors
+from fibword.palindromes import pal_factors, sp_count
 from fibword.squarefree import delta_decode, has_overlap, is_square_free, thue_morse_prefix
 from fibword.words import AB, Alphabet, Word, distinct_factors
 
@@ -86,8 +88,28 @@ def test_distinct_factors_match_the_brute_factor_set(w, k):
 @example(Word(Alphabet("abc"), "abacabab"))  # the prefix abacaba is a palindrome: the last b's walk reads the sentinel
 @example(Word(Alphabet("abc"), "abcab"))  # the last b rereads the jump from a that the first b stored past the sentinel
 @example(Word(Alphabet("abc"), "bcabababcabababb"))  # symbols 12 and 14 reread the jumps from aba and ababa
+@example(Word(Alphabet("ab"), "aabbaabbbaab"))  # even palindromes grow from the empty root, odd ones from the imaginary
 def test_pal_factors_match_the_brute_pal_factor_set(w):
     assert list(pal_factors(w).pal_factors) == sorted(oracle.brute_pal_factor_set(w))
+
+
+TEN = Alphabet("abcdefghij")
+
+
+@st.composite
+def letters_twice(draw):
+    """8-10 letters, each twice, in a drawn order: 16-20 symbols, within the oracle's guard."""
+    letters = "abcdefghij"[: draw(st.integers(8, 10))]
+    return Word(TEN, "".join(draw(st.permutations(letters * 2))))
+
+
+@settings(max_examples=12, deadline=None)  # ~0.1 s each
+@given(letters_twice())
+@example(Word(TEN, "jabcdefghiihgfedcbaj"))  # row 1: one right end, 9 letters twice: a list after 8, then one more
+@example(Word(TEN, "jabcdefghhgfedcbaj"))  # exactly 8 letters twice, built into a list at the row's end
+@example(Word(TEN, "abcdefghijabcdefghij"))  # every row has one right end and no letter twice
+def test_sp_count_matches_the_brute_count(w):
+    assert sp_count(w) == oracle.brute_sp_count(w)
 
 
 @settings(max_examples=300, deadline=None)

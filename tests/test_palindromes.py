@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibword import oracle
+from fibword import oracle, palindromes
 from fibword.cli import main
 from fibword.fibonacci import fib, infinite_prefix
 from fibword.palindromes import (
@@ -220,6 +220,29 @@ def test_sp_count_frees_values_no_left_end_reads():
     assert int(proc.stdout) < 32 * 1024  # ru_maxrss is in KiB
 
 
+class _Admitted(Exception):
+    pass
+
+
+def test_sp_count_counts_its_slots_before_building_a_count_list(monkeypatch):
+    def admitted(*iterables):
+        raise _Admitted
+
+    monkeypatch.setattr(palindromes, "chain", admitted)  # each count list is built from a chain
+    limit = GUARDS["sp_slots"][0]
+    assert limit == 12 * 10**6
+    letters = "".join(map(chr, range(0x4E00, 0x4E00 + 5001)))
+    alphabet = Alphabet(letters)
+    with pytest.raises(_Admitted):  # 1,200 letters, each 8 or 9 times in 9,999 symbols: 1,200 * 10,000 slots
+        sp_count(alphabet.word((letters[:1200] * 9)[:9999]))
+    with pytest.raises(ValueError, match=f"^sp_slots is limited to {limit} count slots, .*needs 12010000$"):
+        sp_count(alphabet.word((letters[:1201] * 9)[:9999]))
+    with pytest.raises(ValueError, match="; this input needs 50005000$"):  # 5,000 letters each twice
+        sp_count(alphabet.word(letters[:5000] * 2))
+    with pytest.raises(ValueError, match="^sp_count is limited to 10000 symbols"):  # the length is checked first
+        sp_count(alphabet.word(letters * 2))
+
+
 def test_sp_count_of_a_unary_word_at_the_guard():
     # a^n has the n palindromic subsequences a..a^n; only n/2 + 1 intervals are reachable.
     assert sp_count(AB.word("a" * 10**4)) == 10**4
@@ -255,6 +278,7 @@ def sp_alphabets_and_texts(draw):
 @example(("abcd", "c" + "abba" * 10 + "d"))  # once at both ends
 @example(("a", "a" * 80))  # one buffer, read as slices only
 @example(("ab", "ab" * 40))
+@example(("abcdefghij", "fdefjfhdhghiajgceacihibbdehc"))  # rows of one and of several right ends, 8 letters twice
 def test_sp_count_matches_reference_on_drawn_alphabets(drawn):
     letters, text = drawn
     assert sp_count(Alphabet(letters).word(text)) == _reference_sp(text)

@@ -81,13 +81,20 @@ def test_repetition_tests_match_oracle_scans():
 
 
 def test_repetition_tests_are_guarded_by_their_cost():
-    limit = GUARDS["repetition_test"][0]
-    w = thue_morse_prefix(limit + 1)
-    for test in (is_square_free, has_overlap):
-        with pytest.raises(ValueError, match=f"^repetition_test is limited to {limit} symbols \\(.* s at the limit\\)"):
-            test(w)
+    limit, unit, cost = GUARDS["repetition_test"]
+    assert (limit, unit) == (2**35, "letters times symbols squared")
+    # sqrt(2**35 / 2) = 2**17, sqrt(2**35 / 3) = 107019.8; each word opens with aaa, so an admitted test stops at p = 1
+    for letters, n in (("ab", 2**17), ("abc", 107019)):
+        for test in (is_square_free, has_overlap):
+            assert test(ABC.word(("aaa" + letters * n)[:n])) is (test is has_overlap)
+            with pytest.raises(ValueError) as refused:
+                test(past := ABC.word(("aaa" + letters * n)[: n + 1]))
+            assert past._masks is None  # refused before any mask is built
+            need = len(letters) * (n + 1) ** 2
+            assert str(refused.value) == (
+                f"repetition_test is limited to {limit} {unit} ({cost} at the limit); this input needs {need}")
     # the benchmark's and the tests' largest inputs are admitted
-    assert limit >= 16000 and not has_overlap(thue_morse_prefix(16000))
+    assert not has_overlap(thue_morse_prefix(16000))
 
 
 def test_one_pass_counts_match_a006156_to_twenty():

@@ -180,11 +180,14 @@ BOUNDARIES = {
     # a^10 has the factors a..a^10, 55 characters; the b after them adds one
     "pal_factors": (55, [(pal_factors, (AB.word("a" * 10),), (AB.word("a" * 10 + "b"),), 56, 11)]),
     "sp_count": (10, [(sp_count, (AB.word("ab" * 5),), (AB.word("ab" * 5 + "a"),), 11, None)]),
+    # abcab repeats a and b: 2 * 6 slots; the c after them repeats c too
+    "sp_slots": (12, [(sp_count, (ABC.word("abcab"),), (ABC.word("abcabc"),), 21, None)]),
     "enumeration": (5, [(enumerate_square_free, (3, 5), (3, 6), 6, None),
                         (square_free_count, (2, 5), (2, 6), 6, None),
                         (brandenburg_table, (5,), (6,), 6, None)]),
-    "repetition_test": (50, [(is_square_free, (thue_morse_prefix(50),), (thue_morse_prefix(51),), 51, None),
-                             (has_overlap, (thue_morse_prefix(50),), (thue_morse_prefix(51),), 51, None)]),
+    # two letters times 50**2 symbols squared; one symbol more needs 2 * 51**2
+    "repetition_test": (5000, [(is_square_free, (thue_morse_prefix(50),), (thue_morse_prefix(51),), 5202, None),
+                               (has_overlap, (thue_morse_prefix(50),), (thue_morse_prefix(51),), 5202, None)]),
     "fuzzy_fib_word": (5, [(fuzzy_fib_word, (5, 0.5, 0.5), (6, 0.5, 0.5), 6, None)]),
     "ratio_curve": (10, [(ratio_curve, (10,), (11,), 11, None)]),
     "letter_density_curve": (10, [(letter_density_curve, ("0", 10), ("0", 11), 11, None)]),

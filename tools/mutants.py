@@ -78,9 +78,17 @@ MUTANTS = [
      "            if total > limit + 1:  # every factor is built as a string: stop before any is",
      "the eertree stops at the symbol that takes its running total past the limit, even by one"),
     ("sp-buffer-one-rank-early", "palindromes.py",
-     "                    term = buf[a : b + 1] if c == d else map(buf.__getitem__, map(cnt[c].__getitem__, js))",
-     "                    term = buf[a - 1 : b] if c == d else map(buf.__getitem__, map(cnt[c].__getitem__, js))",
+     "                        term = buf[a : b + 1]",
+     "                        term = buf[a - 1 : b]",
      "right end j reads d's buffer at the d before j, slot rank(j), so a row's ranks a..b read slots a..b"),
+    ("sp-one-cell-through-itemgetter", "palindromes.py",
+     "                    elif a < b:",
+     "                    elif a <= b:",
+     "itemgetter with one index gives a scalar, not a tuple, so a one-cell row reads its one slot directly"),
+    ("sp-chain-built-not-kept", "palindromes.py",
+     "                        vals, chained = list(vals), 0",
+     "                        vals, chained = list(term), 0",
+     "the list built after 8 letters holds the whole chain so far, not only the last letter's term"),
     ("sp-letter-alone-unwritten", "palindromes.py",
      "            buf[cnt[c][i] + 1] = 1",
      "            pass",
@@ -93,9 +101,13 @@ MUTANTS = [
      "            jump[last] = v",
      "            jump[last] = links[last]",
      "a jump keeps where the walk below the node stopped, not the node's suffix link"),
+    ("eertree-back-by-length-form", "palindromes.py",
+     "            back.append(back[v] + 2)",
+     "            back.append(back[v] + 4)",
+     "c.v.c is 2 longer than v, so its back is back[v] + 2; the + 4 of |v| + 4 counts the 2 of back[v] twice"),
     ("eertree-sentinel-dropped", "palindromes.py",
-     "    lens, links, ends, sym = [-1, 0], [0, 0], [0, 0], [*text, None]",
-     "    lens, links, ends, sym = [-1, 0], [0, 0], [0, 0], [*text]",
+     "    back, links, ends, sym = [1, 2], [0, 0], [0, 0], [*text, None]  # back[v] = |v| + 2",
+     "    back, links, ends, sym = [1, 2], [0, 0], [0, 0], [*text]  # back[v] = |v| + 2",
      "a palindrome that starts the text reads the None at index -1, not the text's last letter"),
     ("shift-and-63-symbols", "density.py",
      "    for j, c in enumerate(p[1:64], 1):",
@@ -209,6 +221,14 @@ MUTANTS = [
      '        raise ValueError("no factorization: the word must start with a")',
      "        pass",
      "a word that starts with b is refused as one that does not start with a"),
+    ("sp-slots-every-letter", "palindromes.py",
+     '    _admit("sp_slots", len([f for f in head.values() if nxt[f] < n]) * (n + 1))  # before any count list is built',
+     '    _admit("sp_slots", len(head) * (n + 1))  # before any count list is built',
+     "only a letter that occurs twice gets a count list, so only such letters are charged slots"),
+    ("repetition-charges-absent-letters", "squarefree.py",
+     '    _admit("repetition_test", sum(c in w.text for c in w.alphabet.symbols) * len(w) ** 2)  # before any mask is built',
+     '    _admit("repetition_test", len(w.alphabet.symbols) * len(w) ** 2)  # before any mask is built',
+     "the repetition guard charges the letters that occur, not every letter of the alphabet"),
     ("membership-max", "fuzzy.py",
      "    return min(fw.memberships)",
      "    return max(fw.memberships)",
