@@ -44,10 +44,10 @@ class Report:
         if self.payload is None or fmt == "text":  # without a payload every format is text
             text = self.text if self.text is not None else (f"{k}: {v}" for k, v in self.payload.items())
             return "\n".join(text) + "\n"
-        import json
-        if fmt == "json" and isinstance(self.payload, dict):
-            return json.dumps(self.payload) + "\n"
-        if fmt == "json":  # indent=2's layout of flat rows but {} (never given), by the C encoder
+        if fmt == "json":  # rows in indent=2's layout but {} (never given), by the C encoder
+            import json
+            if isinstance(self.payload, dict):
+                return json.dumps(self.payload) + "\n"
             rows = map(json.JSONEncoder(separators=(",\n    ", ": ")).encode, self.payload)
             body = "\n  },\n  {\n    ".join(row[1:-1] for row in rows)
             return f"[\n  {{\n    {body}\n  }}\n]\n" if body else "[]\n"

@@ -61,29 +61,27 @@ def brute_count(pattern: Word, text: Word) -> int:
     return sum(1 for i in range(len(t) - len(p) + 1) if t[i : i + len(p)] == p)
 
 
-def brute_square_scan(w: Word) -> bool:
-    """True iff w contains a factor xx, by trying every start and length."""
-    s = w.text
-    if len(s) > SQUARE_GUARD:
-        raise ValueError(f"brute scan is limited to |w| <= {SQUARE_GUARD}")
+def _repeat_scan(s: str, e: int) -> bool:
+    """True iff s[i : i + p + e] == s[i + p : i + 2p + e] for some start i and period p >= 1: a factor
+    xx for e = 0, a factor a·x·a·x·a for e = 1."""
     n = len(s)
     for i in range(n):
-        for half in range(1, (n - i) // 2 + 1):
-            if s[i : i + half] == s[i + half : i + 2 * half]:
+        for p in range(1, (n - i - e) // 2 + 1):
+            if s[i : i + p + e] == s[i + p : i + 2 * p + e]:
                 return True
     return False
+
+
+def brute_square_scan(w: Word) -> bool:
+    """True iff w contains a factor xx, by trying every start and length."""
+    if len(w) > SQUARE_GUARD:
+        raise ValueError(f"brute scan is limited to |w| <= {SQUARE_GUARD}")
+    return _repeat_scan(w.text, 0)
 
 
 def brute_overlap_scan(w: Word) -> bool:
-    """True iff w contains a factor a·x·a·x·a, by trying every start and
-    period."""
-    s = w.text
-    n = len(s)
-    for i in range(n):
-        for p in range(1, (n - i - 1) // 2 + 1):
-            if all(s[i + j] == s[i + j + p] for j in range(p + 1)):
-                return True
-    return False
+    """True iff w contains a factor a·x·a·x·a, by trying every start and period."""
+    return _repeat_scan(w.text, 1)
 
 
 def brute_factor_set(w: Word, k: int) -> set[Word]:
@@ -112,8 +110,8 @@ def brute_pal_factor_set(w: Word) -> set[Word]:
 
 
 def brute_square_free_words(alphabet_size: int, n: int) -> list[Word]:
-    """Square-free words of length n by recursive extension, re-scanning
-    each candidate with the all-pairs square scan."""
+    """Square-free words of length n, grown level by level: each word of the level before followed by
+    each letter in alphabet order, kept when the all-pairs square scan finds no square."""
     alphabet = {2: AB, 3: ABC}.get(alphabet_size)
     if alphabet is None:
         raise ValueError("alphabet size must be 2 or 3")
@@ -121,19 +119,11 @@ def brute_square_free_words(alphabet_size: int, n: int) -> list[Word]:
         raise ValueError("length must be nonnegative")
     if n > 15:
         raise ValueError("brute enumeration is limited to n <= 15")
-    out: list[str] = []
-
-    def extend(prefix: str) -> None:
-        if brute_square_scan(Word(alphabet, prefix)):
-            return
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for c in alphabet.symbols:
-            extend(prefix + c)
-
-    extend("")
-    return [Word(alphabet, t) for t in out]
+    level = [""]
+    for _ in range(n):
+        candidates = (t + c for t in level for c in alphabet.symbols)
+        level = [t for t in candidates if not brute_square_scan(Word(alphabet, t))]
+    return [Word(alphabet, t) for t in level]
 
 
 def delta_factorizations(x: Word) -> list[Word]:

@@ -66,7 +66,7 @@ def _palindromic_factors() -> Iterator[bool]:
 
 
 def _square_free_enumeration() -> Iterator[bool]:
-    # square-free enumeration vs brute backtracking
+    # square-free enumeration vs the oracle's level-by-level growth
     for size, n in product((2, 3), range(9)):
         yield enumerate_square_free(size, n) != oracle.brute_square_free_words(size, n)
 

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping
 #: Every size guard, as name: (limit, unit, cost at the limit on a 2-CPU VM, Python 3.11); see _admit.
 GUARDS = {
     "generation": (2**29, "symbols", "1.55-1.69 GB and 4-14 s"),  # fixed_point_prefix, fib_word
-    "distinct_factors": (10**8, "characters of blocks and factors", "~96 MB"),  # counted in text order
+    "distinct_factors": (10**8, "characters of sliced blocks and distinct factors", "94-160 MB and 0.06-6.7 s"),
     "pal_factors": (10**8, "characters of factors", "~113 MB and ~0.1 s"),  # the eertree's running total
     "sp_count": (10**4, "symbols", "0.9-3.1 s and 4-5 MB on random words"),
     "sp_slots": (12 * 10**6, "count slots, |w| + 1 per repeated letter", "~97 MB and 6.8 s"),  # ~8 bytes each
@@ -328,14 +328,16 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
     the empty word."""
     if k < 0:
         raise ValueError("factor length must be nonnegative")
-    text, blocks, seen, block_chars, limit = w.text, set(), set(), 0, GUARDS["distinct_factors"][0]
-    # window i is cuts[i % 64] of the block at i - i % 64; only a block not met before is cut up
+    text, blocks, seen, limit = w.text, set(), set(), GUARDS["distinct_factors"][0]
+    block_chars = factor_chars = 0
+    # window i is cuts[i % 64] of the block at i - i % 64; only a new block is cut up, but every one is charged
     cuts = [slice(j, j + k) for j in range(64)]
     for s in range(0, len(text) - k + 1, 64):
-        if (block := text[s : s + k + 63]) not in blocks:
+        block_chars += len(block := text[s : s + k + 63])
+        if block not in blocks:
             blocks.add(block)
             seen.update(map(block.__getitem__, cuts[: len(block) - k + 1]))
-            block_chars += len(block)
-            if (held := block_chars + len(seen) * k) > limit:
-                _admit("distinct_factors", held, s + len(block))
+            factor_chars = len(seen) * k
+        if (held := block_chars + factor_chars) > limit:
+            _admit("distinct_factors", held, s + len(block))
     return [_unchecked_word(w.alphabet, t) for t in w.alphabet.sort_texts(seen)]

@@ -1,5 +1,6 @@
 """The command-line front end: outputs, formats, determinism, exit codes."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -387,6 +388,14 @@ def test_squarefree_bound_table_refuses_the_binary_alphabet(capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+def test_a_flag_outside_the_chosen_mode_is_set_against_the_flags_it_needs():
+    # In every command a mode that takes an optional flag sits beside one-flag modes only, so a flag
+    # outside it completes another mode and the two-modes message comes first; these modes are made up.
+    args = argparse.Namespace(command="demo", modes=["a [b]", "c d"], a="1", b=None, c="1", d=None)
+    with pytest.raises(cli.UsageError, match=r"^--c does not go with --a$"):
+        cli._check_mode(args)
+
+
 def test_catalan_rows(capsys):
     code, out, _ = run_cli(capsys, "catalan", "--n-max", "4", "--format", "csv")
     assert code == 0
@@ -591,10 +600,14 @@ _README_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, modules", _README_COMMANDS, ids=[" ".join(argv) for argv, _ in _README_COMMANDS])
+_README_COMMANDS_TEXT_AND_CSV = _README_COMMANDS + [(argv + ["--format", "csv"], m) for argv, m in _README_COMMANDS]
+
+
+@pytest.mark.parametrize("argv, modules", _README_COMMANDS_TEXT_AND_CSV,
+                         ids=[" ".join(argv) for argv, _ in _README_COMMANDS_TEXT_AND_CSV])
 def test_each_command_loads_only_its_own_modules(argv, modules):
     # Each in a fresh interpreter: fibword.cli loads only the modules the command runs, no
-    # dataclasses (which pulls in inspect and ast) and, since text needs no encoder, no json.
+    # dataclasses (which pulls in inspect and ast) and, since text and CSV need no encoder, no json.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     probe = _LOAD_PROBE.format(argv=ascii(argv))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)

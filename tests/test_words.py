@@ -145,6 +145,8 @@ def test_fixed_point_prefix():
     assert stalls.fixed_point_prefix("b", 5) == "aaaab"
     with pytest.raises(ValueError):
         stalls.fixed_point_prefix("a", 2)
+    # a, b, aa, bb, aaaa: one step without growth, one with, one without, and it grows again
+    assert Morphism(AB, AB, {"a": "b", "b": "aa"}).fixed_point_prefix("a", 4) == "aaaa"
     with pytest.raises(ValueError):
         FIBONACCI_MORPHISM.fixed_point_prefix("a", 5)  # seed outside the domain
     with pytest.raises(ValueError):
@@ -175,8 +177,8 @@ BOUNDARIES = {
     "generation": (100, [(FIBONACCI_MORPHISM.fixed_point_prefix, ("0", 100), ("0", 101), 101, None),
                          (thue_morse_prefix, (100,), (101,), 101, None),
                          (fib_word, (3, _w3(99)), (3, _w3(100)), 101, None)]),
-    # a^64 is one 64-symbol block and one factor; a^65 adds the one-symbol block a
-    "distinct_factors": (65, [(distinct_factors, (AB.word("a" * 64), 1), (AB.word("a" * 65), 1), 66, 65)]),
+    # a^128 is the 64-symbol block a^64, sliced twice, and one factor; a^129 slices the one-symbol block a
+    "distinct_factors": (129, [(distinct_factors, (AB.word("a" * 128), 1), (AB.word("a" * 129), 1), 130, 129)]),
     # a^10 has the factors a..a^10, 55 characters; the b after them adds one
     "pal_factors": (55, [(pal_factors, (AB.word("a" * 10),), (AB.word("a" * 10 + "b"),), 56, 11)]),
     "sp_count": (10, [(sp_count, (AB.word("ab" * 5),), (AB.word("ab" * 5 + "a"),), 11, None)]),
@@ -327,16 +329,16 @@ def test_distinct_factors_match_oracle_across_block_boundaries():
 
 
 def test_distinct_factors_refuses_words_past_the_character_guard():
-    # 17,711 distinct factors of 2*10**4 symbols would be held; the count passes 10**8
-    # at the block that ends at symbol 24,927, whatever the hash seed
+    # 17,711 distinct factors of 2*10**4 symbols would be held; with every block of 2*10**4 + 63
+    # symbols sliced, the count passes 10**8 at the block that ends at symbol 24,927, whatever the hash seed
     refusal = r"^distinct_factors is limited to 10{8} .*; its first 24927 symbols need 100104851$"
     with pytest.raises(ValueError, match=refusal):
         distinct_factors(infinite_prefix(4 * 10**4), 2 * 10**4)
 
 
 def _held_by_distinct_factors(text: str, k: int) -> int:
-    # the guard's running total at the end of text: distinct 64-window blocks plus distinct factors
-    blocks = {text[s : s + k + 63] for s in range(0, len(text) - k + 1, 64)}
+    # the guard's running total at the end of text: every 64-window block sliced plus distinct factors
+    blocks = [text[s : s + k + 63] for s in range(0, len(text) - k + 1, 64)]
     return sum(map(len, blocks)) + k * len({text[i : i + k] for i in range(len(text) - k + 1)})
 
 
@@ -358,7 +360,14 @@ def test_distinct_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypat
 
 
 def test_distinct_factors_admits_a_long_factor_of_a_unary_word():
-    assert distinct_factors(AB.word("a" * 10**5), 5 * 10**4) == [AB.word("a" * 5 * 10**4)]
+    assert distinct_factors(AB.word("a" * 10**5), 5 * 10**4) == [AB.word("a" * 5 * 10**4)]  # 3.9*10**7 sliced
+
+
+def test_distinct_factors_charges_a_block_each_time_it_is_sliced():
+    # a^(10**6) at k = 5*10**5 is one block sliced ~7,800 times: refused about halfway, not after the last slice
+    refusal = r"^distinct_factors is limited to 10{8} .*; its first 512735 symbols need 100012537$"
+    with pytest.raises(ValueError, match=refusal):
+        distinct_factors(AB.word("a" * 10**6), 5 * 10**5)
 
 
 def test_factor_complexity_matches_oracle():

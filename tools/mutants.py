@@ -70,8 +70,8 @@ MUTANTS = [
      "    if need >= limit:",
      "every guard admits a need equal to its limit"),
     ("distinct-factors-compare-one-late", "words.py",
-     "            if (held := block_chars + len(seen) * k) > limit:",
-     "            if (held := block_chars + len(seen) * k) > limit + 1:",
+     "        if (held := block_chars + factor_chars) > limit:",
+     "        if (held := block_chars + factor_chars) > limit + 1:",
      "distinct_factors stops at the block that takes its running total past the limit, even by one"),
     ("pal-factors-compare-one-late", "palindromes.py",
      "            if total > limit:  # every factor is built as a string: stop before any is",
@@ -126,8 +126,8 @@ MUTANTS = [
      "        pass",
      "the levels built are kept, so each is built once per process"),
     ("factor-block-one-short", "words.py",
-     "        if (block := text[s : s + k + 63]) not in blocks:",
-     "        if (block := text[s : s + k + 62]) not in blocks:",
+     "        block_chars += len(block := text[s : s + k + 63])",
+     "        block_chars += len(block := text[s : s + k + 62])",
      "a block of 64 windows of length k spans k + 63 symbols"),
     ("tally-forgives-one", "verify.py",
      "    return bad == 0, f\"{label.format(len(misses))}, {bad} mismatches\"",
@@ -241,6 +241,90 @@ MUTANTS = [
      "    return Fraction(r + scale, 2 * scale), Fraction(r + 1 + scale, 2 * scale)",
      "    return Fraction(r + scale, 2 * scale), Fraction(r + 2 + scale, 2 * scale)",
      "the bracket is tight to 10**-digits"),
+    ("level-loop-skips-last-letter", "oracle.py",
+     "        candidates = (t + c for t in level for c in alphabet.symbols)",
+     "        candidates = (t + c for t in level for c in alphabet.symbols[:-1])",
+     "each level follows every word by every letter of the alphabet, the last one included"),
+    ("scan-period-one-short", "oracle.py",
+     "        for p in range(1, (n - i - e) // 2 + 1):",
+     "        for p in range(1, (n - i - e) // 2):",
+     "the scan tries every period whose repetition ends inside the word, the longest one included"),
+    ("overlap-scanned-as-square", "oracle.py",
+     "    return _repeat_scan(w.text, 1)",
+     "    return _repeat_scan(w.text, 0)",
+     "an overlap a·x·a·x·a is a square (a·x)(a·x) followed by one more a: e = 1, not 0"),
+    ("sliced-blocks-charged-once", "words.py",
+     "        block_chars += len(block := text[s : s + k + 63])",
+     "        block_chars += len(block := text[s : s + k + 63]) * (block not in blocks)",
+     "distinct_factors charges a block each time it slices it, not only the first time"),
+    ("json-loaded-for-csv", "cli.py",
+     "        if fmt == \"json\":  # rows in indent=2's layout but {} (never given), by the C encoder",
+     "        if fmt == \"json\" or not __import__(\"json\"):  # rows in indent=2's layout but {} (never given), by the C encoder",
+     "json loads only when JSON is rendered, never for CSV"),
+    ("json-rows-indented-2", "cli.py",
+     "            rows = map(json.JSONEncoder(separators=(\",\\n    \", \": \")).encode, self.payload)",
+     "            rows = map(json.JSONEncoder(separators=(\",\\n  \", \": \")).encode, self.payload)",
+     "a row's fields sit 4 spaces in, as json.dumps(rows, indent=2) puts them"),
+    ("json-rows-joined-on-one-line", "cli.py",
+     "            body = \"\\n  },\\n  {\\n    \".join(row[1:-1] for row in rows)",
+     "            body = \"\\n  }, {\\n    \".join(row[1:-1] for row in rows)",
+     "each row's closing and the next row's opening brace sit on lines of their own"),
+    ("json-empty-list-on-two-lines", "cli.py",
+     "            return f\"[\\n  {{\\n    {body}\\n  }}\\n]\\n\" if body else \"[]\\n\"",
+     "            return f\"[\\n  {{\\n    {body}\\n  }}\\n]\\n\" if body else \"[\\n]\\n\"",
+     "no rows print as [], as json.dumps([], indent=2) does"),
+    ("mode-flags-underscored", "cli.py",
+     "        return \"/\".join(\"--\" + f.strip(\"[]\").replace(\"_\", \"-\").replace(\"=\", \" \") for f in flags)",
+     "        return \"/\".join(\"--\" + f.strip(\"[]\").replace(\"=\", \" \") for f in flags)",
+     "a usage error names a flag as typed (--n-max), not by its dest (--n_max)"),
+    ("mode-missing-flags-unnamed", "cli.py",
+     "        raise UsageError(f\"{show(filter(given, begun[0]))} needs {show(f for f in begun[0] if not given(f))}\")",
+     "        raise UsageError(f\"{show(filter(given, begun[0]))} needs {show(begun[0])}\")",
+     "a part-given mode names only the flags still missing"),
+    ("modes-joined-by-and", "cli.py",
+     "        raise UsageError(f\"{args.command} needs exactly one of {' or '.join(map(show, needs))}\")",
+     "        raise UsageError(f\"{args.command} needs exactly one of {' and '.join(map(show, needs))}\")",
+     "the modes of a command are named as alternatives"),
+    ("outside-flag-named-with-optionals", "cli.py",
+     "            raise UsageError(f\"{show([flag])} does not go with {show(needs[chosen[0]])}\")",
+     "            raise UsageError(f\"{show([flag])} does not go with {show(modes[chosen[0]])}\")",
+     "a flag outside the chosen mode is set against the flags that mode needs, not those it may take"),
+    ("memory-error-uncaught", "cli.py",
+     "    except MemoryError:",
+     "    except RecursionError:",
+     "running out of memory exits 3 with one line, not a traceback"),
+    ("memory-error-exits-1", "cli.py",
+     "        print(\"error: out of memory\", file=sys.stderr)",
+     "        return 1",
+     "running out of memory exits 3, not the 1 of a verify mismatch"),
+    ("write-error-only-missing-paths", "cli.py",
+     "    except OSError as exc:",
+     "    except FileNotFoundError as exc:",
+     "every OSError of the write exits 3, a directory given as --out too"),
+    ("write-error-exits-1", "cli.py",
+     "        print(f\"error: cannot write {args.out or 'stdout'}: {exc.strerror}\", file=sys.stderr)",
+     "        return 1",
+     "an output that cannot be written exits 3, not the 1 of a verify mismatch"),
+    ("idle-stop-one-early", "words.py",
+     "            if idle == len(self.domain):",
+     "            if idle == len(self.domain) - 1:",
+     "iterates may stall for fewer steps than the domain has letters and grow again"),
+    ("idle-never-reset", "words.py",
+     "            idle = idle + 1 if grown == len(images[seed]) else 0",
+     "            idle = idle + 1 if grown == len(images[seed]) else idle",
+     "only stalls in a row stop the iteration; a step that grows starts the count again"),
+    ("nth-symbol-one-late", "fibonacci.py",
+     "    n = i + 1",
+     "    n = i + 2",
+     "symbol i of the word is read at n = i + 1 of the characteristic form"),
+    ("floor-phi-rounded-up", "fibonacci.py",
+     "    return (n + math.isqrt(5 * n * n)) // 2",
+     "    return (n + math.isqrt(5 * n * n) + 1) // 2",
+     "floor(n phi) is (n + floor(n sqrt 5)) // 2, rounded down"),
+    ("fib-word-seeds-swapped", "fibonacci.py",
+     "    images = {\"0\": seeds.second.text, \"1\": seeds.first.text}",
+     "    images = {\"0\": seeds.first.text, \"1\": seeds.second.text}",
+     "w_n = h(phi^(n-2)(0)) with h(0) the second seed and h(1) the first"),
 ]
 
 
