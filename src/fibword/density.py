@@ -26,37 +26,31 @@ from .words import Word, _admit, _letter_masks, _Record, _require_same_alphabet
 
 class DensitySample:
     """One point of a density curve: prefix length ``n`` and exact ``value``,
-    given as a ``Fraction`` or as an occurrence ``count`` (value = count / n,
-    built on every read of ``.value`` and never stored; ``count`` is None
-    otherwise).  Slotted and, like Word, never mutated; compares and hashes
-    by (n, value)."""
+    given as a ``Fraction`` value or as an int occurrence ``count`` (value =
+    count / n, built on every read of ``.value`` and never stored; ``count`` is
+    None otherwise); any other input raises TypeError.  Slotted and, like Word,
+    never mutated; compares and hashes by (n, value)."""
 
-    __slots__ = ("n", "_held")  # an int count or a Fraction value as given, any other input as (count, value)
+    __slots__ = ("n", "_held")  # the int count or the Fraction value
 
     def __init__(self, n: int, value: Fraction | None = None, count: int | None = None):
-        if (value is None) == (count is None):
-            raise TypeError("DensitySample takes exactly one of value and count")
-        self.n, self._held = n, count if type(count) is int else value if type(value) is Fraction else (count, value)
+        if not (count is None and type(value) is Fraction or value is None and type(count) is int):
+            raise TypeError("DensitySample takes exactly one of a Fraction value and an int count")
+        self.n, self._held = n, value if count is None else count
 
     def __reduce__(self) -> tuple:
-        count = self.count  # pickles hold the constructor's arguments, not the slots
-        return DensitySample, (self.n, self.value if count is None else None, count)
+        held = self._held  # pickles hold the constructor's arguments, not the slots
+        return DensitySample, (self.n, None, held) if type(held) is int else (self.n, held, None)
 
-    count = property(lambda self: held if type(held := self._held) is int else held[0] if type(held) is tuple else None)
+    count = property(lambda self: held if type(held := self._held) is int else None)
 
     @property
     def value(self) -> Fraction:
-        if type(held := self._held) is not tuple:  # an int count or a Fraction value
-            return Fraction(held, self.n) if type(held) is int else held
-        count, value = held
-        return value if count is None else Fraction(count, self.n)
+        return Fraction(held, self.n) if type(held := self._held) is int else held
 
     @property
-    def value_real(self) -> float:
-        if type(held := self._held) is not tuple:  # count / n rounds correctly, as float(Fraction(count, n)) does
-            return held / self.n if type(held) is int else float(held)
-        count, value = held
-        return float(value) if count is None else count / self.n
+    def value_real(self) -> float:  # count / n rounds correctly, as float(Fraction(count, n)) does
+        return held / self.n if type(held := self._held) is int else float(held)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensitySample):

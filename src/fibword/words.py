@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping
 #: Every size guard, as name: (limit, unit, cost at the limit on a 2-CPU VM, Python 3.11); see _admit.
 GUARDS = {
     "generation": (2**29, "symbols", "1.55-1.69 GB and 4-14 s"),  # fixed_point_prefix, fib_word
-    "distinct_factors": (10**8, "characters of sliced blocks and distinct factors", "94-160 MB and 0.06-6.7 s"),
+    "distinct_factors": (10**8, "characters of sliced blocks and distinct factors", "95-744 MB and 0.09-23 s"),
     "pal_factors": (10**8, "characters of factors", "~113 MB and ~0.1 s"),  # the eertree's running total
     "sp_count": (10**4, "symbols", "0.9-3.1 s and 4-5 MB on random words"),
     "sp_slots": (12 * 10**6, "count slots, |w| + 1 per repeated letter", "~97 MB and 6.8 s"),  # ~8 bytes each
@@ -330,6 +330,7 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
         raise ValueError("factor length must be nonnegative")
     text, blocks, seen, limit = w.text, set(), set(), GUARDS["distinct_factors"][0]
     block_chars = factor_chars = 0
+    every = len(w.alphabet) ** min(k, 64)  # all sigma^k factors; sigma^64 serves past k = 64, as no text holds 2**64
     # window i is cuts[i % 64] of the block at i - i % 64; only a new block is cut up, but every one is charged
     cuts = [slice(j, j + k) for j in range(64)]
     for s in range(0, len(text) - k + 1, 64):
@@ -337,6 +338,8 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
         if block not in blocks:
             blocks.add(block)
             seen.update(map(block.__getitem__, cuts[: len(block) - k + 1]))
+            if len(seen) == every:  # every factor is held: no later block can add one
+                break
             factor_chars = len(seen) * k
         if (held := block_chars + factor_chars) > limit:
             _admit("distinct_factors", held, s + len(block))

@@ -78,3 +78,17 @@ def test_readme_examples_are_pinned_in_every_format():
         if tuple(argv + ["--format", fmt]) not in pinned
     ]
     assert missing == []
+
+
+_FUZZY_CSV_AND_JSON = [c for c in CASES if c["argv"][0] == "fuzzy" and c["code"] == 0 and c["argv"][-1] != "text"]
+
+
+@pytest.mark.parametrize("case", _FUZZY_CSV_AND_JSON, ids=_case_id)
+def test_fuzzy_builds_its_text_lines_only_for_text(case, capsys, monkeypatch):
+    # the text form alone reads the word's degree, so CSV and JSON keep their bytes without it
+    def unread(fw):
+        raise AssertionError("the text lines were built")
+    monkeypatch.setattr("fibword.fuzzy.word_membership", unread)
+    assert _run(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+    with pytest.raises(AssertionError, match="the text lines were built"):
+        main(case["argv"][:-1] + ["text"])

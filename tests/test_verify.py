@@ -36,6 +36,13 @@ def test_a_routine_wrong_on_one_word_fails_its_suite_and_verify(monkeypatch, cap
     assert out.endswith("verify: 8/9 suites ok\n")
 
 
+def test_an_integral_model_that_refuses_every_input_fails_its_suite(monkeypatch):
+    def refuse(params):
+        raise ValueError("quadrature and closed form disagree")
+    monkeypatch.setattr(verify, "integral_density", refuse)
+    assert dict(SUITES)["integral-dual-path"]() == (False, "36 grid points, 36 mismatches")
+
+
 def _stub(ok, drawn, parent_only=False):
     """A suite that records which process ran it in the file drawn; it sleeps first, so the other
     process draws the next one.  With parent_only, a forked child that draws it dies there."""

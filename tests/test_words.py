@@ -83,6 +83,20 @@ def test_word_equality_includes_alphabet():
     assert hash(AB.word("ab")) == hash(Word(AB, "ab"))
 
 
+def test_words_and_alphabets_never_equal_other_types():
+    # __eq__ leaves another type to that type, so a string compares by identity and is unequal
+    w, alpha = Word(BINARY, "01"), Alphabet("01")
+    assert w.__eq__("01") is NotImplemented and alpha.__eq__("01") is NotImplemented
+    assert w != "01" and not w == "01"
+    assert alpha != "01" and not alpha == "01"
+
+
+def test_a_word_iterates_over_its_symbols():
+    w = BINARY.word("01001")
+    assert list(w) == list(w.text) == ["0", "1", "0", "0", "1"]
+    assert list(BINARY.word("")) == []
+
+
 def test_word_slicing_and_reverse():
     w = BINARY.word("01001")
     assert w[0] == "0"
@@ -344,19 +358,39 @@ def _held_by_distinct_factors(text: str, k: int) -> int:
 
 @pytest.mark.parametrize("k", [1, 3, 40])
 def test_distinct_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypatch, k):
+    # binary draws over three letters, so they never hold all 3**k factors and every block is read
+    alpha = Alphabet("012")
     text = "".join(random.Random(k).choices("01", k=150))
     limit = _held_by_distinct_factors(text, k)
     _, unit, cost = GUARDS["distinct_factors"]
     monkeypatch.setitem(GUARDS, "distinct_factors", (limit, unit, cost))
-    assert distinct_factors(BINARY.word(text), k) == sorted(oracle.brute_factor_set(BINARY.word(text), k))
+    assert distinct_factors(alpha.word(text), k) == sorted(oracle.brute_factor_set(alpha.word(text), k))
     longer = text + "1"
     need = _held_by_distinct_factors(longer, k)
     assert need > limit
     message = (f"distinct_factors is limited to {limit} {unit} ({cost} at the limit); "
                f"its first {len(longer)} symbols need {need}")
     with pytest.raises(ValueError) as refused:
-        distinct_factors(BINARY.word(longer), k)
+        distinct_factors(alpha.word(longer), k)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_distinct_factors_stops_once_it_holds_every_factor(monkeypatch, k):
+    # all 2**k factors sit in the first block; the guard, set to what the first two blocks need,
+    # would refuse the third, so only a call that stops at the first block is admitted
+    text = "".join(random.Random(k).choices("01", k=64 * 40))
+    assert len(oracle.brute_factor_set(BINARY.word(text[: k + 63]), k)) == 2**k
+    _, unit, cost = GUARDS["distinct_factors"]
+    monkeypatch.setitem(GUARDS, "distinct_factors", (_held_by_distinct_factors(text[: k + 127], k), unit, cost))
+    assert distinct_factors(BINARY.word(text), k) == sorted(oracle.brute_factor_set(BINARY.word(text), k))
+
+
+def test_distinct_factors_reads_on_until_the_last_factor():
+    # one factor short of 2**k after the first block: the last one comes blocks later
+    for text, k in (("0" * 200 + "1", 1), ("0" * 64 + "1" * 64, 1), ("0" * 32 + "1" * 100 + "0", 2)):
+        w = BINARY.word(text)
+        assert distinct_factors(w, k) == sorted(oracle.brute_factor_set(w, k)), (text, k)
 
 
 def test_distinct_factors_admits_a_long_factor_of_a_unary_word():

@@ -1,27 +1,35 @@
 """Run tier-1 against one-line mutants of src/fibword and report which ones it kills.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [--full]
 
 Each mutant is (name, file, old line, new line, why).  For each one the files tier-1
 reads (src/, tests/, perfbench/, pyproject.toml, README.md and BENCHMARK.json) are
-copied to a temporary directory, the old line is replaced by the new one, and tier-1
-runs there:
+copied to a temporary directory, the old line is replaced by the new one, and the
+tests run there:
 
-    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors [TEST FILE ...]
+
+A mutant first meets its own module's tests, tests/test_<module>.py (for cli.py
+also tests/test_cli_golden.py).  It is killed there when a test that passes as the
+unmutated tree runs the same files fails on the mutant, and fails again when it
+runs by itself.  A mutant that pass leaves alive meets all of tier-1, which kills
+it when a test that passed on the unmutated tree fails on the mutant; the by-design
+failure is in both sets, and no test is deselected.  The tests that newly failed
+there also run a second time, by themselves: one that passes then failed only
+through state that earlier tests left (a warm cache, say), and it is listed as
+failing after earlier tests.  With --full every mutant meets all of tier-1 alone,
+so the verdicts of both ways can be compared.
 
 The unmutated tree runs first, and every run is one at a time, so the suite's
-wall-clock limits meet the same load on both sides.  A mutant is killed when a test
-that passed on the unmutated tree fails on the mutant; the by-design failure is in
-both sets, and no test is deselected.  The tests that newly failed then run a second
-time, by themselves: one that passes there failed only through state that earlier
-tests left (a warm cache, say), and it is listed as failing after earlier tests.  A
-mutant whose old line is missing or not unique is reported as not applied, and one
-whose run passes the time limit counts as killed.  This script sits outside tier-1's
-testpaths, so the suite never runs it.
+wall-clock limits meet the same load on both sides.  A mutant whose old line is
+missing or not unique is reported as not applied, and one whose run passes the time
+limit counts as killed.  This script sits outside tier-1's testpaths, so the suite
+never runs it.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -38,17 +46,21 @@ TIME_LIMIT_S = 1200
 #: (name, file under src/fibword, old line, new line, why); lines are matched whole, indentation included
 MUTANTS = [
     ("form-test-flipped", "density.py",
-     "        self.n, self._held = n, count if type(count) is int else value if type(value) is Fraction else (count, value)",
-     "        self.n, self._held = n, count if type(count) is not int else value if type(value) is Fraction else (count, value)",
-     "DensitySample holds an int count bare and any count of another type with its value, as given"),
+     "        if not (count is None and type(value) is Fraction or value is None and type(count) is int):",
+     "        if not (count is None and type(value) is Fraction or value is None and type(count) is not int):",
+     "DensitySample takes an int count and refuses a count of any other type"),
+    ("count-test-admits-bools", "density.py",
+     "        if not (count is None and type(value) is Fraction or value is None and type(count) is int):",
+     "        if not (count is None and type(value) is Fraction or value is None and isinstance(count, int)):",
+     "a bool is an int to isinstance, but DensitySample refuses it as a count"),
     ("int-list-one-off", "density.py",
      "    deque(map(DensitySample.n.__set__, samples, islice(ints, 1, None)), 0)",
      "    deque(map(DensitySample.n.__set__, samples, islice(ints, 0, None)), 0)",
      "the letter curve's n run from 1; read from 0, each sample is one position early"),
     ("value-real-through-value", "density.py",
-     "            return held / self.n if type(held) is int else float(held)",
-     "            return float(self.value)",
-     "value_real must not build the Fraction: CSV reads no exact value, and a Fraction count gives a Fraction"),
+     "        return held / self.n if type(held := self._held) is int else float(held)",
+     "        return float(self.value)",
+     "value_real must not build the Fraction: CSV reads no exact value"),
     ("kept-growth-unshifted", "fibonacci.py",
      "        built._masks = {c: m | new[c] << len(kept) for c, m in _letter_masks(kept).items()}",
      "        built._masks = {c: m | new[c] for c, m in _letter_masks(kept).items()}",
@@ -253,6 +265,18 @@ MUTANTS = [
      "    return _repeat_scan(w.text, 1)",
      "    return _repeat_scan(w.text, 0)",
      "an overlap a·x·a·x·a is a square (a·x)(a·x) followed by one more a: e = 1, not 0"),
+    ("every-factor-one-early", "words.py",
+     "            if len(seen) == every:  # every factor is held: no later block can add one",
+     "            if len(seen) == every - 1:  # every factor is held: no later block can add one",
+     "distinct_factors stops only once it holds all sigma^k factors, not one short of them"),
+    ("every-factor-one-late", "words.py",
+     "            if len(seen) == every:  # every factor is held: no later block can add one",
+     "            if len(seen) == every + 1:  # every factor is held: no later block can add one",
+     "distinct_factors stops as soon as it holds all sigma^k factors, and the guard never sees later blocks"),
+    ("fuzzy-text-built-eagerly", "cli.py",
+     "    return Report(({\"symbol\": s, \"membership\": m} for s, m in zip(fw.word.text, fw.memberships)), text())",
+     "    return Report(({\"symbol\": s, \"membership\": m} for s, m in zip(fw.word.text, fw.memberships)), list(text()))",
+     "fuzzy joins its degrees and reads the word's degree only when text is rendered"),
     ("sliced-blocks-charged-once", "words.py",
      "        block_chars += len(block := text[s : s + k + 63])",
      "        block_chars += len(block := text[s : s + k + 63]) * (block not in blocks)",
@@ -360,48 +384,73 @@ def _tier_1(tree: Path, tests: list[str]) -> tuple[set[str], str] | None:
     return failed, lines[-1] if lines else f"exit {run.returncode}, no output"
 
 
-def _run(mutant: tuple | None, base: set[str]) -> tuple[str, set[str], set[str], str, float]:
-    """Tier-1 on a copy of the tree with mutant applied: (status, the failing test ids, those of them
-    that pass when rerun alone, pytest's last line, seconds).  The status is "ran", "not applied" or
-    "timed out"; a mutant's tests that fail outside base run once more, by themselves."""
+def _own_tests(file: str) -> tuple[str, ...]:
+    """The test files of the module that file names: its own, and for cli.py the golden records."""
+    own = (f"tests/test_{file.removesuffix('.py')}.py",)
+    return own + ("tests/test_cli_golden.py",) if file == "cli.py" else own
+
+
+def _pass(tree: Path, tests: tuple[str, ...], base: set[str]) -> tuple[list[str], set[str], str] | None:
+    """The given tests (all of tier-1 if none) on tree: (those failing outside base, those of them that pass
+    when rerun alone, pytest's last line); None on a timeout."""
+    if (result := _tier_1(tree, list(tests))) is None:
+        return None
+    failed, summary = result
+    alone = set()
+    if (newly := sorted(failed - base)) and (again := _tier_1(tree, newly)):
+        alone = set(newly) - again[0]
+    return newly, alone, summary
+
+
+def _run(mutant: tuple, bases: dict[tuple[str, ...], set[str]], full: bool) -> tuple:
+    """The mutant's tests on a copy of the tree: (status, the test files of the deciding pass (none for
+    tier-1), the tests failing outside that pass's base, those of them that pass when rerun alone, pytest's
+    last line, seconds).  The status is "ran", "not applied" or "timed out"."""
     with tempfile.TemporaryDirectory(prefix="fibword-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
-        if mutant is not None and not _apply(tree, *mutant[1:4]):
-            return "not applied", set(), set(), "old line missing or not unique", 0.0
+        if not _apply(tree, *mutant[1:4]):
+            return "not applied", (), [], set(), "old line missing or not unique", 0.0
         start = time.perf_counter()
-        if (result := _tier_1(tree, [])) is None:
-            return "timed out", set(), set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
-        failed, summary = result
-        alone = set()
-        if mutant is not None and (newly := sorted(failed - base)) and (again := _tier_1(tree, newly)):
-            alone = set(newly) - again[0]
-        return "ran", failed, alone, summary, time.perf_counter() - start
+        for tests in [()] if full else [_own_tests(mutant[1]), ()]:
+            if (result := _pass(tree, tests, bases[tests])) is None:
+                return "timed out", tests, [], set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
+            newly, alone, summary = result
+            if not tests or set(newly) - alone:  # the own files kill only by a test that fails alone too
+                return "ran", tests, newly, alone, summary, time.perf_counter() - start
 
 
 def main() -> int:
-    status, base, _, summary, seconds = _run(None, set())
-    if status != "ran":
-        print(f"error: the unmutated tree gave no result ({summary})", file=sys.stderr)
-        return 2
-    print(f"unmutated: {summary} in {seconds:.0f} s; failing: {', '.join(sorted(base)) or 'none'}")
-    killed = 0
+    parser = argparse.ArgumentParser(description="Run tier-1 against one-line mutants of src/fibword.")
+    parser.add_argument("--full", action="store_true", help="run all of tier-1 on every mutant, skipping its own tests")
+    args = parser.parse_args()
+    bases = {}
+    with tempfile.TemporaryDirectory(prefix="fibword-unmutated-") as tmp:
+        _copy_tree(Path(tmp))
+        for tests in [()] + ([] if args.full else sorted({_own_tests(m[1]) for m in MUTANTS})):
+            start = time.perf_counter()
+            if (result := _tier_1(Path(tmp), list(tests))) is None:
+                print(f"error: the unmutated tree gave no result in {TIME_LIMIT_S} s", file=sys.stderr)
+                return 2
+            bases[tests], summary = result
+            print(f"unmutated {' '.join(tests) or 'tier-1'}: {summary} in {time.perf_counter() - start:.0f} s; "
+                  f"failing: {', '.join(sorted(bases[tests])) or 'none'}")
+    killed, start = 0, time.perf_counter()
     for mutant in MUTANTS:
         name, file, _, _, why = mutant
-        status, failed, alone, summary, seconds = _run(mutant, base)
-        newly = sorted(failed - base)
+        status, tests, newly, alone, summary, seconds = _run(mutant, bases, args.full)
         if status == "not applied":
             verdict = status
         elif status == "timed out" or newly:
             verdict, killed = "killed", killed + 1
         else:
             verdict = "SURVIVED"
-        print(f"{verdict:11s} {name} ({file}): {summary} in {seconds:.0f} s; {why}")
+        print(f"{verdict:11s} {name} ({file}) by {' '.join(tests) or 'tier-1'}: {summary} in {seconds:.0f} s; {why}")
         for test in newly[:5]:
             print(f"            fails {test}" + (" after earlier tests (passes alone)" if test in alone else ""))
         if len(newly) > 5:
             print(f"            and {len(newly) - 5} more")
-    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
     return 0
 
 
