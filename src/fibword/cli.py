@@ -160,12 +160,10 @@ def _cmd_catalan(args: argparse.Namespace) -> Report:
 def _cmd_fuzzy(args: argparse.Namespace) -> Report:
     from .fuzzy import fuzzy_fib_word, word_membership
     fw = fuzzy_fib_word(args.n, args.mu_a, args.mu_b)
-
     def text() -> Iterator[str]:  # run only for --format text: at --n 30 the join is 1.35*10**6 reprs
         yield f"word: {fw.word.text}"
         yield f"memberships: {' '.join(map(repr, fw.memberships))}"
         yield f"membership: {word_membership(fw)}"
-
     return Report(({"symbol": s, "membership": m} for s, m in zip(fw.word.text, fw.memberships)), text())
 
 

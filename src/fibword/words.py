@@ -338,9 +338,9 @@ def distinct_factors(w: Word, k: int) -> list[Word]:
         if block not in blocks:
             blocks.add(block)
             seen.update(map(block.__getitem__, cuts[: len(block) - k + 1]))
-            if len(seen) == every:  # every factor is held: no later block can add one
-                break
             factor_chars = len(seen) * k
         if (held := block_chars + factor_chars) > limit:
             _admit("distinct_factors", held, s + len(block))
+        if len(seen) == every:  # every factor is held, and charged: no later block can add one
+            break
     return [_unchecked_word(w.alphabet, t) for t in w.alphabet.sort_texts(seen)]

@@ -400,10 +400,6 @@ def test_counted_and_fraction_samples_are_one_value():
     assert repr(counted) == repr(exact) == "DensitySample(n=6, value=Fraction(2, 3))"
     assert counted != DensitySample(3, Fraction(2, 3))
     assert len({counted, exact, DensitySample(6, count=5)}) == 2
-    with pytest.raises(TypeError):
-        DensitySample(6, Fraction(2, 3), count=4)
-    with pytest.raises(TypeError):
-        DensitySample(6)
 
 
 class _ThreeSlotSample:

@@ -386,6 +386,25 @@ def test_distinct_factors_stops_once_it_holds_every_factor(monkeypatch, k):
     assert distinct_factors(BINARY.word(text), k) == sorted(oracle.brute_factor_set(BINARY.word(text), k))
 
 
+@pytest.mark.parametrize("alpha, text, k", [(Alphabet("a"), "a" * 200, 100), (BINARY, "0011101000", 3)],
+                         ids=["unary", "binary"])
+def test_distinct_factors_charges_the_block_that_completes_its_factors(monkeypatch, alpha, text, k):
+    # the first block holds all sigma**k factors: the stop comes after the guard has charged it,
+    # so a limit one short of that block's need refuses it, as it does over a larger alphabet
+    first = text[: k + 63]
+    assert len(oracle.brute_factor_set(alpha.word(text), k)) == len(alpha) ** k
+    need = len(first) + k * len(alpha) ** k
+    _, unit, cost = GUARDS["distinct_factors"]
+    monkeypatch.setitem(GUARDS, "distinct_factors", (need, unit, cost))
+    assert distinct_factors(alpha.word(text), k) == sorted(oracle.brute_factor_set(alpha.word(text), k))
+    monkeypatch.setitem(GUARDS, "distinct_factors", (need - 1, unit, cost))
+    message = (f"distinct_factors is limited to {need - 1} {unit} ({cost} at the limit); "
+               f"its first {len(first)} symbols need {need}")
+    with pytest.raises(ValueError) as refused:
+        distinct_factors(alpha.word(text), k)
+    assert str(refused.value) == message
+
+
 def test_distinct_factors_reads_on_until_the_last_factor():
     # one factor short of 2**k after the first block: the last one comes blocks later
     for text, k in (("0" * 200 + "1", 1), ("0" * 64 + "1" * 64, 1), ("0" * 32 + "1" * 100 + "0", 2)):

@@ -1,6 +1,6 @@
 """Run tier-1 against one-line mutants of src/fibword and report which ones it kills.
 
-    python3 tools/mutants.py [--full]
+    python3 tools/mutants.py
 
 Each mutant is (name, file, old line, new line, why).  For each one the files tier-1
 reads (src/, tests/, perfbench/, pyproject.toml, README.md and BENCHMARK.json) are
@@ -17,8 +17,7 @@ it when a test that passed on the unmutated tree fails on the mutant; the by-des
 failure is in both sets, and no test is deselected.  The tests that newly failed
 there also run a second time, by themselves: one that passes then failed only
 through state that earlier tests left (a warm cache, say), and it is listed as
-failing after earlier tests.  With --full every mutant meets all of tier-1 alone,
-so the verdicts of both ways can be compared.
+failing after earlier tests.
 
 The unmutated tree runs first, and every run is one at a time, so the suite's
 wall-clock limits meet the same load on both sides.  A mutant whose old line is
@@ -29,7 +28,6 @@ never runs it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -266,12 +264,12 @@ MUTANTS = [
      "    return _repeat_scan(w.text, 0)",
      "an overlap a·x·a·x·a is a square (a·x)(a·x) followed by one more a: e = 1, not 0"),
     ("every-factor-one-early", "words.py",
-     "            if len(seen) == every:  # every factor is held: no later block can add one",
-     "            if len(seen) == every - 1:  # every factor is held: no later block can add one",
+     "        if len(seen) == every:  # every factor is held, and charged: no later block can add one",
+     "        if len(seen) == every - 1:  # every factor is held, and charged: no later block can add one",
      "distinct_factors stops only once it holds all sigma^k factors, not one short of them"),
     ("every-factor-one-late", "words.py",
-     "            if len(seen) == every:  # every factor is held: no later block can add one",
-     "            if len(seen) == every + 1:  # every factor is held: no later block can add one",
+     "        if len(seen) == every:  # every factor is held, and charged: no later block can add one",
+     "        if len(seen) == every + 1:  # every factor is held, and charged: no later block can add one",
      "distinct_factors stops as soon as it holds all sigma^k factors, and the guard never sees later blocks"),
     ("fuzzy-text-built-eagerly", "cli.py",
      "    return Report(({\"symbol\": s, \"membership\": m} for s, m in zip(fw.word.text, fw.memberships)), text())",
@@ -402,7 +400,7 @@ def _pass(tree: Path, tests: tuple[str, ...], base: set[str]) -> tuple[list[str]
     return newly, alone, summary
 
 
-def _run(mutant: tuple, bases: dict[tuple[str, ...], set[str]], full: bool) -> tuple:
+def _run(mutant: tuple, bases: dict[tuple[str, ...], set[str]]) -> tuple:
     """The mutant's tests on a copy of the tree: (status, the test files of the deciding pass (none for
     tier-1), the tests failing outside that pass's base, those of them that pass when rerun alone, pytest's
     last line, seconds).  The status is "ran", "not applied" or "timed out"."""
@@ -412,7 +410,7 @@ def _run(mutant: tuple, bases: dict[tuple[str, ...], set[str]], full: bool) -> t
         if not _apply(tree, *mutant[1:4]):
             return "not applied", (), [], set(), "old line missing or not unique", 0.0
         start = time.perf_counter()
-        for tests in [()] if full else [_own_tests(mutant[1]), ()]:
+        for tests in [_own_tests(mutant[1]), ()]:
             if (result := _pass(tree, tests, bases[tests])) is None:
                 return "timed out", tests, [], set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
             newly, alone, summary = result
@@ -421,13 +419,10 @@ def _run(mutant: tuple, bases: dict[tuple[str, ...], set[str]], full: bool) -> t
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Run tier-1 against one-line mutants of src/fibword.")
-    parser.add_argument("--full", action="store_true", help="run all of tier-1 on every mutant, skipping its own tests")
-    args = parser.parse_args()
     bases = {}
     with tempfile.TemporaryDirectory(prefix="fibword-unmutated-") as tmp:
         _copy_tree(Path(tmp))
-        for tests in [()] + ([] if args.full else sorted({_own_tests(m[1]) for m in MUTANTS})):
+        for tests in [()] + sorted({_own_tests(m[1]) for m in MUTANTS}):
             start = time.perf_counter()
             if (result := _tier_1(Path(tmp), list(tests))) is None:
                 print(f"error: the unmutated tree gave no result in {TIME_LIMIT_S} s", file=sys.stderr)
@@ -438,7 +433,7 @@ def main() -> int:
     killed, start = 0, time.perf_counter()
     for mutant in MUTANTS:
         name, file, _, _, why = mutant
-        status, tests, newly, alone, summary, seconds = _run(mutant, bases, args.full)
+        status, tests, newly, alone, summary, seconds = _run(mutant, bases)
         if status == "not applied":
             verdict = status
         elif status == "timed out" or newly:
