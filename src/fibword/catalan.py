@@ -54,17 +54,13 @@ class CatalanRecord(_Record):
     g_n: Fraction
 
 
-def catalan_record(n: int) -> CatalanRecord:
-    c = catalan(n)  # C_n - 1 is table_expr(n), without computing C_n again
-    return CatalanRecord(n, c, c - 1, limit_function_g(n))
-
-
 def catalan_table(n_max: int) -> list[CatalanRecord]:
     """Records for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     _admit("catalan_table", n_max)
-    return [catalan_record(n) for n in range(1, n_max + 1)]
+    # C_n - 1 is table_expr(n), without computing C_n again
+    return [CatalanRecord(n, c := catalan(n), c - 1, limit_function_g(n)) for n in range(1, n_max + 1)]
 
 
 def fib_word_at_catalan(n: int) -> Word:

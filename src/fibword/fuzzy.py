@@ -1,9 +1,8 @@
 """Fuzzy Fibonacci words: symbols paired with membership degrees.
 
 Degrees attach per letter (a and b each get one grade in [0, 1]) and the
-degree of a multi-symbol word is the minimum over its symbols, so
-membership distributes over concatenation as a min.  The words are
-fibonacci.fib_word over the seeds b, a.
+degree of a multi-symbol word is the minimum over its symbols.  The words
+are fibonacci.fib_word over the seeds b, a.
 """
 
 from __future__ import annotations
@@ -45,8 +44,3 @@ def word_membership(fw: FuzzyWord) -> float:
     if len(fw) == 0:
         raise ValueError("the empty fuzzy word has no membership degree")
     return min(fw.memberships)
-
-
-def fuzzy_concat(u: FuzzyWord, v: FuzzyWord) -> FuzzyWord:
-    """Concatenation, keeping each symbol's degree."""
-    return FuzzyWord(u.word + v.word, u.memberships + v.memberships)

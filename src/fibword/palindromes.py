@@ -16,20 +16,6 @@ from operator import add, itemgetter, sub
 from .words import BINARY, GUARDS, Word, _admit, _Record, _unchecked_word
 
 
-def is_palindrome(w: Word) -> bool:
-    """True iff w reads the same both ways; the empty word qualifies."""
-    t = w.text
-    return t == t[::-1]
-
-
-def is_numeric_palindrome(n: int) -> bool:
-    """True iff the decimal digit string of n is a palindrome."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    s = str(n)
-    return s == s[::-1]
-
-
 class PalindromeReport(_Record):
     """Distinct palindromic factors of a word, plus the subsequence count
     when it has been computed."""

@@ -132,13 +132,6 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.symbols)!r})"
 
-    def rank(self, symbol: str) -> int:
-        """Position of a symbol in the alphabet order."""
-        try:
-            return self._ranks[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in {self!r}") from None
-
     def sort_key(self, text: str) -> str:
         """Key for sorting strings lexicographically under alphabet order:
         the text with each symbol replaced by the character of its rank."""
@@ -207,10 +200,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text!r}, alphabet={''.join(self.alphabet.symbols)!r})"
-
-    def reverse(self) -> "Word":
-        """The mirror image of this word."""
-        return _unchecked_word(self.alphabet, self.text[::-1])
 
 
 class Morphism:
@@ -298,28 +287,6 @@ def _letter_masks(w: Word) -> dict[str, int]:
     masks[symbols[-1]] = ((1 << len(text)) - 1) ^ sum(masks.values())  # disjoint masks
     w._masks = masks
     return masks
-
-
-def letter_count(w: Word, symbol: str) -> int:
-    """Number of positions of w holding the given symbol."""
-    if symbol not in w.alphabet:
-        raise ValueError(f"symbol {symbol!r} not in {w.alphabet!r}")
-    return w.text.count(symbol)
-
-
-def is_factor(v: Word, x: Word) -> bool:
-    """True iff v occurs contiguously in x.  The empty word is a factor of
-    every word."""
-    _require_same_alphabet(v, x)
-    return v.text in x.text
-
-
-def is_scattered_subword(v: Word, x: Word) -> bool:
-    """True iff v is a subsequence of x (symbols in order, not necessarily
-    contiguous)."""
-    _require_same_alphabet(v, x)
-    it = iter(x.text)
-    return all(c in it for c in v.text)
 
 
 def distinct_factors(w: Word, k: int) -> list[Word]:

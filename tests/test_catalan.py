@@ -8,7 +8,7 @@ import pytest
 from fibword.catalan import (
     catalan,
     catalan_fib_ratio,
-    catalan_record,
+    catalan_table,
     fib_word_at_catalan,
     limit_function_g,
     table_expr,
@@ -96,7 +96,7 @@ def test_fib_word_at_catalan():
 
 def test_catalan_record_invariants():
     for n in range(1, 20):
-        r = catalan_record(n)
+        r = catalan_table(n)[-1]
         assert r.c_n == math.comb(2 * n, n) // (n + 1)
         assert r.table_expr == r.c_n - 1
         assert r.g_n == 1 + Fraction(n + 1, math.comb(2 * n, n))

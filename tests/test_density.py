@@ -120,7 +120,7 @@ def test_letter_masks_stay_on_their_own_word():
         masks = _letter_masks(w)
         assert _letter_masks(w) is masks
         v = BINARY.word("".join(rng.choices("01", k=40)))
-        for derived in (w[7:100], w[1:], w + v, v + w, w.reverse(), FIBONACCI_MORPHISM.apply(w)):
+        for derived in (w[7:100], w[1:], w + v, v + w, w[::-1], FIBONACCI_MORPHISM.apply(w)):
             _all_counts_match_oracle(derived)
         assert _letter_masks(w) is masks
         assert is_square_free(w) == (not oracle.brute_square_scan(w))
@@ -400,6 +400,12 @@ def test_counted_and_fraction_samples_are_one_value():
     assert repr(counted) == repr(exact) == "DensitySample(n=6, value=Fraction(2, 3))"
     assert counted != DensitySample(3, Fraction(2, 3))
     assert len({counted, exact, DensitySample(6, count=5)}) == 2
+
+
+def test_the_real_value_of_a_count_builds_no_fraction(monkeypatch):
+    counted = DensitySample(6, count=4)
+    monkeypatch.setattr("fibword.density.Fraction", None)  # CSV reads value_real and no exact value
+    assert counted.value_real == 4 / 6
 
 
 class _ThreeSlotSample:

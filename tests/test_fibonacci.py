@@ -252,6 +252,21 @@ def test_infinite_prefix_around_the_cache_cap_matches_the_recurrence(monkeypatch
     assert infinite_prefix(cap) is not infinite_prefix(cap)  # every call returns its own Word
 
 
+def test_growing_the_kept_prefix_parses_only_the_new_symbols(monkeypatch):
+    _empty_cache(monkeypatch)
+    infinite_prefix(1000)
+    parsed = []
+
+    def recording(w):
+        if w._masks is None:
+            parsed.append(len(w))
+        return words._letter_masks(w)
+
+    monkeypatch.setattr(fibonacci, "_letter_masks", recording)
+    assert infinite_prefix(2500).text == _recurrence_text(2500)
+    assert parsed == [1500]  # the kept 1,000 symbols keep their masks
+
+
 def _outcome(length):
     try:
         return infinite_prefix(length).text

@@ -1,14 +1,12 @@
 """Fuzzy words: per-letter degrees combined by minimum."""
 
 import json
-import random
 
 import pytest
 
 from fibword.cli import main
 from fibword.fuzzy import (
     FuzzyWord,
-    fuzzy_concat,
     fuzzy_fib_word,
     word_membership,
 )
@@ -71,15 +69,6 @@ def test_single_symbol_membership():
 def test_empty_word_has_no_membership():
     with pytest.raises(ValueError):
         word_membership(FuzzyWord(Word(AB, ""), ()))
-
-
-def test_membership_distributes_over_concat():
-    rng = random.Random(31)
-    for _ in range(100):
-        u = fuzzy_fib_word(rng.randint(0, 8), rng.random(), rng.random())
-        v = fuzzy_fib_word(rng.randint(0, 8), rng.random(), rng.random())
-        w = fuzzy_concat(u, v)
-        assert word_membership(w) == min(word_membership(u), word_membership(v))
 
 
 def test_json_serialization(capsys):

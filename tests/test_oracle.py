@@ -60,6 +60,7 @@ def test_brute_overlap_scan():
     assert oracle.brute_overlap_scan(AB.word("aaa"))  # a·ε·a·ε·a
     assert oracle.brute_overlap_scan(AB.word("ababa"))
     assert not oracle.brute_overlap_scan(AB.word("aba"))
+    assert not oracle.brute_overlap_scan(AB.word("abab"))  # a square (ab)(ab), but no overlap
     assert not oracle.brute_overlap_scan(AB.word(""))
 
 

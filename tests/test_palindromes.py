@@ -23,8 +23,6 @@ from fibword import oracle, palindromes
 from fibword.cli import main
 from fibword.fibonacci import fib, infinite_prefix
 from fibword.palindromes import (
-    is_numeric_palindrome,
-    is_palindrome,
     pal_density_table,
     pal_factors,
     palindrome_report,
@@ -40,22 +38,6 @@ abc_texts = st.text(alphabet="abc", min_size=1, max_size=12)
 letters_and_texts = st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
     lambda letters: st.tuples(st.just(letters), st.text(letters, max_size=40))
 )
-
-
-def test_is_palindrome():
-    assert is_palindrome(AB.word("aba"))
-    assert not is_palindrome(AB.word("ab"))
-    assert is_palindrome(AB.word(""))
-    assert is_palindrome(AB.word("a"))
-
-
-def test_is_numeric_palindrome():
-    assert is_numeric_palindrome(12321)
-    assert not is_numeric_palindrome(10)
-    assert is_numeric_palindrome(7)
-    assert is_numeric_palindrome(0)
-    with pytest.raises(ValueError):
-        is_numeric_palindrome(-121)
 
 
 def test_pal_factors_worked_example():
@@ -91,7 +73,7 @@ def test_pal_factors_sorted_under_non_code_point_alphabets(alpha):
         text = "".join(rng.choices(alpha.symbols, k=rng.randint(0, 60)))
         factors = pal_factors(alpha.word(text)).pal_factors
         texts = [f.text for f in factors]
-        assert texts == sorted(texts, key=lambda t: tuple(alpha.rank(c) for c in t))
+        assert texts == sorted(texts, key=lambda t: tuple(alpha.symbols.index(c) for c in t))
         assert set(factors) == oracle.brute_pal_factor_set(alpha.word(text))
 
 
@@ -235,6 +217,8 @@ def test_sp_count_counts_its_slots_before_building_a_count_list(monkeypatch):
     alphabet = Alphabet(letters)
     with pytest.raises(_Admitted):  # 1,200 letters, each 8 or 9 times in 9,999 symbols: 1,200 * 10,000 slots
         sp_count(alphabet.word((letters[:1200] * 9)[:9999]))
+    with pytest.raises(_Admitted):  # 1,199 letters repeated and 10 once in 10,000 symbols: 1,199 * 10,001 slots
+        sp_count(alphabet.word((letters[:1199] * 9)[:9990] + letters[4000:4010]))
     with pytest.raises(ValueError, match=f"^sp_slots is limited to {limit} count slots, .*needs 12010000$"):
         sp_count(alphabet.word((letters[:1201] * 9)[:9999]))
     with pytest.raises(ValueError, match="; this input needs 50005000$"):  # 5,000 letters each twice
@@ -287,14 +271,14 @@ def test_sp_count_matches_reference_on_drawn_alphabets(drawn):
 @given(ab_texts)
 def test_pal_factors_reversal_invariant(text):
     w = AB.word(text)
-    assert set(pal_factors(w).pal_factors) == set(pal_factors(w.reverse()).pal_factors)
+    assert set(pal_factors(w).pal_factors) == set(pal_factors(w[::-1]).pal_factors)
 
 
 @given(ab_texts)
 def test_pal_factor_members_are_palindromic_factors(text):
     w = AB.word(text)
     for member in pal_factors(w).pal_factors:
-        assert is_palindrome(member)
+        assert member.text == member.text[::-1]
         assert member.text in w.text
 
 
@@ -344,6 +328,9 @@ def test_pal_factors_admits_its_guard_and_refuses_one_symbol_more(monkeypatch, t
     with pytest.raises(ValueError) as refused:
         pal_factors(longer)
     assert str(refused.value) == message
+    monkeypatch.setitem(GUARDS, "pal_factors", (limit - 1, unit, cost))
+    with pytest.raises(ValueError):  # one character short of the word's own total
+        pal_factors(alphabet.word(text))
 
 
 def test_rich_words_have_one_palindrome_per_symbol():

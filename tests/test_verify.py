@@ -25,6 +25,12 @@ def test_tally_fails_on_a_single_mismatch():
     assert verify._tally("{} cases", lambda: iter([False, False])) == (True, "2 cases, 0 mismatches")
 
 
+def test_the_occurrence_suite_pairs_a_text_only_with_patterns_no_longer_than_it():
+    # every binary text of length 1-8 with every binary pattern of length 1 to min(3, |text|), then 300 drawn pairs
+    exhaustive = sum(2**t * sum(2**p for p in range(1, min(3, t) + 1)) for t in range(1, 9))
+    assert dict(SUITES)["occurrence-count"]() == (True, f"{exhaustive + 300} cases, 0 mismatches")
+
+
 def test_a_routine_wrong_on_one_word_fails_its_suite_and_verify(monkeypatch, capsys):
     # sp_count as verify reads it, off by one on the word 0101 alone
     monkeypatch.setattr(verify, "sp_count", lambda w: sp_count(w) + (w.text == "0101"))
