@@ -92,7 +92,7 @@ class Alphabet:
     enumeration in the library, so results are deterministic.
     """
 
-    __slots__ = ("symbols", "_ranks", "_rank_table", "_code_point_order", "_delete")
+    __slots__ = ("symbols", "_rank_table", "_code_point_order", "_delete")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -104,7 +104,6 @@ class Alphabet:
             if not isinstance(s, str) or len(s) != 1:
                 raise ValueError(f"symbols must be single characters, got {s!r}")
         self.symbols = syms
-        self._ranks = {s: i for i, s in enumerate(syms)}
         self._rank_table = {ord(s): chr(i) for i, s in enumerate(syms)}
         self._code_point_order = list(syms) == sorted(syms)  # then plain string order is this order
         self._delete = dict.fromkeys(map(ord, syms))
@@ -116,7 +115,7 @@ class Alphabet:
         return iter(self.symbols)
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self._ranks
+        return symbol in self.symbols
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alphabet):

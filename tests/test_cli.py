@@ -548,7 +548,7 @@ for argv in (["generate", "--n", "6"], ["palindromes", "--pattern", "abaa"],
              ["curve", "--n-max", "10"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert fibword.cli.main(argv) == 0, argv
-assert "scipy" not in sys.modules, "scipy loaded outside the integral model"
+assert "scipy" not in sys.modules, "a command loaded scipy"
 assert not {"fibword.verify", "fibword.oracle"} & set(sys.modules), "verify's suites loaded outside verify"
 from fibword.density import IntegralParams, integral_density
 r = integral_density(IntegralParams(0, 1, 1, 1))
@@ -559,7 +559,7 @@ assert "scipy" not in sys.modules
 """
 
 
-def test_scipy_loads_only_for_the_integral_model():
+def test_no_command_and_no_integral_route_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120

@@ -6,10 +6,12 @@ that share no code with the routines under test.  These checks add reach, not ki
 drawn oracle tests stay, and each test below names the sizes it covers past them.
 """
 
+from collections import Counter
 from math import isqrt
 
 from fibword.density import letter_density_curve
 from fibword.fibonacci import infinite_prefix, nth_symbol
+from fibword.palindromes import pal_factors
 from fibword.words import distinct_factors
 
 N = 10**5
@@ -46,3 +48,15 @@ def test_symbol_access_agrees_with_the_fixed_point_past_the_checked_prefix():
     text = infinite_prefix(10 * N).text
     for i in range(0, len(text), 101):
         assert nth_symbol(i) == text[i], i
+
+
+def test_palindromic_factors_are_rich_with_one_or_two_of_each_length():
+    # Droubay-Justin-Pirillo: a Sturmian word is rich, so its prefix of length n has exactly n
+    # distinct nonempty palindromic factors.  Droubay-Pirillo: it has one palindromic factor of each
+    # even length and two of each odd length; a prefix of 10^4 symbols holds them all for every
+    # length below 4,181 (F_19), and at 4,181 the count first falls short.  The oracle's centre scan
+    # reaches words of 300 symbols (tests/test_palindromes.py); this covers a 10^4-symbol prefix.
+    report = pal_factors(infinite_prefix(10**4))
+    assert report.p_count == 10**4
+    lengths = Counter(len(f) for f in report.pal_factors)
+    assert all(lengths[length] == 1 + length % 2 for length in range(1, 4181))

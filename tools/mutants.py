@@ -1,29 +1,22 @@
-"""Run tier-1 against one-line mutants of src/fibword and report which ones it kills.
+"""Run each one-line mutant of src/fibword against its own module's tests and report which die.
 
     python3 tools/mutants.py
 
-Each mutant is (name, file, old line, new line, why).  For each one the files tier-1
-reads (src/, tests/, perfbench/, pyproject.toml, README.md and BENCHMARK.json) are
-copied to a temporary directory, the old line is replaced by the new one, and the
-tests run there:
+Each mutant is (name, file, old line, new line, why).  For each one the files its tests read
+(src/, tests/, pyproject.toml and README.md) are copied to a temporary directory, the old line is
+replaced by the new one, and the module's own test files run there, tests/test_<module>.py (for
+cli.py also tests/test_cli_golden.py):
 
-    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors [TEST FILE ...]
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors TEST_FILE ...
 
-A mutant first meets its own module's tests, tests/test_<module>.py (for cli.py
-also tests/test_cli_golden.py).  It is killed there when a test that passes as the
-unmutated tree runs the same files fails on the mutant, and fails again when it
-runs by itself.  A mutant that pass leaves alive meets all of tier-1, which kills
-it when a test that passed on the unmutated tree fails on the mutant; the by-design
-failure is in both sets, and no test is deselected.  The tests that newly failed
-there also run a second time, by themselves: one that passes then failed only
-through state that earlier tests left (a warm cache, say), and it is listed as
-failing after earlier tests.
+A mutant is killed when a test that passes as the unmutated tree runs the same files fails on the
+mutant, and fails again when it runs by itself; a test that then passes failed only through state
+that earlier tests left (a warm cache, say), and it is listed as failing after earlier tests.
 
-The unmutated tree runs first, and every run is one at a time, so the suite's
-wall-clock limits meet the same load on both sides.  A mutant whose old line is
-missing or not unique is reported as not applied, and one whose run passes the time
-limit counts as killed.  This script sits outside tier-1's testpaths, so the suite
-never runs it.
+The unmutated tree runs each set of test files first, and every run is one at a time, so the
+suite's wall-clock limits meet the same load on both sides.  A mutant whose old line is missing or
+not unique is reported as not applied, and one whose run passes the time limit counts as killed.
+This script sits outside tier-1's testpaths, so the suite never runs it.
 """
 
 from __future__ import annotations
@@ -37,8 +30,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md", "BENCHMARK.json")
-TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "-rfE"]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "-rfE"]
 TIME_LIMIT_S = 1200
 
 #: (name, file under src/fibword, old line, new line, why); lines are matched whole, indentation included
@@ -370,11 +363,11 @@ def _apply(tree: Path, file: str, old: str, new: str) -> bool:
     return True
 
 
-def _tier_1(tree: Path, tests: list[str]) -> tuple[set[str], str] | None:
-    """The failing test ids and pytest's last line, for the given tests or all of tier-1; None on a timeout."""
+def _pytest(tree: Path, tests: list[str]) -> tuple[set[str], str] | None:
+    """The failing test ids and pytest's last line, for the given tests; None on a timeout."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        run = subprocess.run(TIER_1 + tests, cwd=tree, env=env, capture_output=True, text=True, timeout=TIME_LIMIT_S)
+        run = subprocess.run(PYTEST + tests, cwd=tree, env=env, capture_output=True, text=True, timeout=TIME_LIMIT_S)
     except subprocess.TimeoutExpired:
         return None
     lines = run.stdout.strip().splitlines()
@@ -388,59 +381,48 @@ def _own_tests(file: str) -> tuple[str, ...]:
     return own + ("tests/test_cli_golden.py",) if file == "cli.py" else own
 
 
-def _pass(tree: Path, tests: tuple[str, ...], base: set[str]) -> tuple[list[str], set[str], str] | None:
-    """The given tests (all of tier-1 if none) on tree: (those failing outside base, those of them that pass
-    when rerun alone, pytest's last line); None on a timeout."""
-    if (result := _tier_1(tree, list(tests))) is None:
-        return None
-    failed, summary = result
-    alone = set()
-    if (newly := sorted(failed - base)) and (again := _tier_1(tree, newly)):
-        alone = set(newly) - again[0]
-    return newly, alone, summary
-
-
-def _run(mutant: tuple, bases: dict[tuple[str, ...], set[str]]) -> tuple:
-    """The mutant's tests on a copy of the tree: (status, the test files of the deciding pass (none for
-    tier-1), the tests failing outside that pass's base, those of them that pass when rerun alone, pytest's
-    last line, seconds).  The status is "ran", "not applied" or "timed out"."""
+def _run(mutant: tuple, base: set[str]) -> tuple:
+    """The mutant's own tests on a copy of the tree: (status, the tests failing outside base, those of
+    them that pass when rerun alone, pytest's last line, seconds).  The status is "ran", "not applied"
+    or "timed out"."""
     with tempfile.TemporaryDirectory(prefix="fibword-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
         if not _apply(tree, *mutant[1:4]):
-            return "not applied", (), [], set(), "old line missing or not unique", 0.0
+            return "not applied", [], set(), "old line missing or not unique", 0.0
         start = time.perf_counter()
-        for tests in [_own_tests(mutant[1]), ()]:
-            if (result := _pass(tree, tests, bases[tests])) is None:
-                return "timed out", tests, [], set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
-            newly, alone, summary = result
-            if not tests or set(newly) - alone:  # the own files kill only by a test that fails alone too
-                return "ran", tests, newly, alone, summary, time.perf_counter() - start
+        if (result := _pytest(tree, list(_own_tests(mutant[1])))) is None:
+            return "timed out", [], set(), f"no result in {TIME_LIMIT_S} s", time.perf_counter() - start
+        failed, summary = result
+        alone = set()
+        if (newly := sorted(failed - base)) and (again := _pytest(tree, newly)):
+            alone = set(newly) - again[0]
+        return "ran", newly, alone, summary, time.perf_counter() - start
 
 
 def main() -> int:
     bases = {}
     with tempfile.TemporaryDirectory(prefix="fibword-unmutated-") as tmp:
         _copy_tree(Path(tmp))
-        for tests in [()] + sorted({_own_tests(m[1]) for m in MUTANTS}):
+        for tests in sorted({_own_tests(m[1]) for m in MUTANTS}):
             start = time.perf_counter()
-            if (result := _tier_1(Path(tmp), list(tests))) is None:
+            if (result := _pytest(Path(tmp), list(tests))) is None:
                 print(f"error: the unmutated tree gave no result in {TIME_LIMIT_S} s", file=sys.stderr)
                 return 2
             bases[tests], summary = result
-            print(f"unmutated {' '.join(tests) or 'tier-1'}: {summary} in {time.perf_counter() - start:.0f} s; "
+            print(f"unmutated {' '.join(tests)}: {summary} in {time.perf_counter() - start:.0f} s; "
                   f"failing: {', '.join(sorted(bases[tests])) or 'none'}")
     killed, start = 0, time.perf_counter()
     for mutant in MUTANTS:
         name, file, _, _, why = mutant
-        status, tests, newly, alone, summary, seconds = _run(mutant, bases)
+        status, newly, alone, summary, seconds = _run(mutant, bases[_own_tests(file)])
         if status == "not applied":
             verdict = status
-        elif status == "timed out" or newly:
+        elif status == "timed out" or set(newly) - alone:  # killed only by a test that fails alone too
             verdict, killed = "killed", killed + 1
         else:
             verdict = "SURVIVED"
-        print(f"{verdict:11s} {name} ({file}) by {' '.join(tests) or 'tier-1'}: {summary} in {seconds:.0f} s; {why}")
+        print(f"{verdict:11s} {name} ({file}) by {' '.join(_own_tests(file))}: {summary} in {seconds:.0f} s; {why}")
         for test in newly[:5]:
             print(f"            fails {test}" + (" after earlier tests (passes alone)" if test in alone else ""))
         if len(newly) > 5:
